@@ -70,12 +70,13 @@ def masked_matvec(
     """Reference semantics of the pruned layer: out = input @ (W * mask).
 
     Pure layer arithmetic, no bias or activation; out[j] sums
-    input[i] * w[i, j] over surviving links only.
+    input[i] * w[i, j] over surviving links only. `input` is one vector
+    of length rows or a (..., rows) batch of them.
     """
     if (weights.rows, weights.cols) != (mask.rows, mask.cols):
         raise ValueError("weights and mask dimensions differ")
     x = np.asarray(input, dtype=np.float64)
-    if x.shape != (weights.rows,):
+    if x.ndim == 0 or x.shape[-1] != weights.rows:
         raise ValueError(f"input length {x.shape} != rows {weights.rows}")
     return x @ (weights.data * mask.bits)
 
@@ -85,19 +86,19 @@ def partitioned_matvec(decomp: BlockDecomposition, input: np.ndarray) -> np.ndar
 
     Blocks are mutually independent, so this models one sub-multiplication
     per compute unit; output positions are fixed by the permutations, so
-    execution order cannot change the result.
+    execution order cannot change the result. `input` is one vector of
+    length rows or a (..., rows) batch of them.
     """
     x = np.asarray(input, dtype=np.float64)
-    if x.shape != (decomp.rows,):
+    if x.ndim == 0 or x.shape[-1] != decomp.rows:
         raise ValueError(f"input length {x.shape} != rows {decomp.rows}")
-    x_perm = x[decomp.row_perm]
+    x_perm = x[..., decomp.row_perm]
     pieces = []
     start = 0
     for block in decomp.blocks:
         m = block.shape[0]
-        pieces.append(x_perm[start : start + m] @ block)
+        pieces.append(x_perm[..., start : start + m] @ block)
         start += m
-    y_perm = np.concatenate(pieces)
-    out = np.empty(decomp.cols, dtype=np.float64)
-    out[decomp.col_perm] = y_perm
+    out = np.empty(x.shape[:-1] + (decomp.cols,), dtype=np.float64)
+    out[..., decomp.col_perm] = np.concatenate(pieces, axis=-1)
     return out

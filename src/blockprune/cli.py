@@ -25,11 +25,14 @@ from .partitioner import (
     refine_swaps,
 )
 from .perfmodel import CalibrationError, SimConfig
-from .rng import SplitMix64
+from .rng import uniform_array
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
+
+# Trials per batched product in verify; bounds its memory for any --trials.
+VERIFY_CHUNK = 128
 
 
 def _emit(args, payload: dict, human: str):
@@ -52,35 +55,23 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _partition_shapes(result) -> list:
-    a = result.assignment
-    rc = np.bincount(a.row_of, minlength=a.p)
-    cc = np.bincount(a.col_of, minlength=a.p)
-    return [[int(rc[k]), int(cc[k])] for k in range(a.p)]
-
-
 def cmd_prune(args) -> int:
+    if args.refine and args.max_passes < 1:
+        raise ValueError("--max-passes must be >= 1 with --refine")
     weights = matio.read_matrix(args.input)
     result = multi_restart(weights, args.p, args.restarts, args.seed)
     if args.refine:
         result = refine_swaps(weights, result, max_passes=args.max_passes)
-    if args.out:
-        matio.write_result(args.out, result, refined=args.refine)
-    payload = matio.result_to_dict(result, refined=args.refine)
-    shapes = _partition_shapes(result)
     human = (
         f"pruned {weights.rows}x{weights.cols} into {args.p} partitions: "
         f"weight_loss={result.weight_loss:.6g} ratio={result.ratio:.6g} "
         f"(seed {args.seed}, {args.restarts} restarts)\n"
         + "\n".join(
             f"  partition {k}: {r} rows x {c} cols"
-            for k, (r, c) in enumerate(shapes)
+            for k, (r, c) in enumerate(zip(*result.assignment.sizes))
         )
     )
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    elif not args.quiet:
-        print(human)
+    _emit(args, matio.result_to_dict(result, refined=args.refine), human)
     return EXIT_OK
 
 
@@ -128,13 +119,19 @@ def cmd_verify(args) -> int:
 
     if args.tolerance <= 0:
         raise ValueError("tolerance must be positive")
+    if args.trials < 1:
+        raise ValueError("trials must be >= 1")
     decomp = blockexec.decompose(weights, result)
-    rng = SplitMix64(args.seed)
+    mask = result.mask
+    rows = weights.rows
     floor = 1e-9 / args.tolerance  # absolute floor on the comparison scale
     worst = 0.0
-    for _ in range(args.trials):
-        x = np.array([2.0 * rng.uniform() - 1.0 for _ in range(weights.rows)])
-        want = blockexec.masked_matvec(weights, result.mask, x)
+    # Trial t's input is draws t*rows .. (t+1)*rows - 1 of the seed's stream.
+    for start in range(0, args.trials, VERIFY_CHUNK):
+        count = min(VERIFY_CHUNK, args.trials - start)
+        u = uniform_array(args.seed, count * rows, offset=start * rows)
+        x = 2.0 * u.reshape(count, rows) - 1.0
+        want = blockexec.masked_matvec(weights, mask, x)
         got = blockexec.partitioned_matvec(decomp, x)
         denom = np.maximum(np.abs(want), floor)
         worst = max(worst, float(np.max(np.abs(got - want) / denom)))
@@ -155,6 +152,8 @@ def _load_config(path) -> SimConfig:
     if path is None:
         return SimConfig()
     d = matio.read_json(path)
+    if not isinstance(d, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
     d.pop("calibration", None)  # fitted configs carry fit metadata
     return SimConfig.from_dict(d)
 

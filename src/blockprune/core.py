@@ -119,19 +119,41 @@ class PartitionAssignment:
     def cols(self) -> int:
         return len(self.col_of)
 
+    @property
+    def sizes(self) -> tuple:
+        """(rows per partition, columns per partition), as int arrays."""
+        return (np.bincount(self.row_of, minlength=self.p),
+                np.bincount(self.col_of, minlength=self.p))
+
 
 @dataclass(frozen=True, eq=False)
 class PruneResult:
-    """A feasible pruning: assignment, mask, and its quality metrics."""
+    """A pruning: the assignment plus the metrics that need the weights.
+
+    Mask, connectedness and ratio follow from the assignment and are
+    derived on access; `mask` builds a new rows x cols array each time.
+    """
 
     assignment: PartitionAssignment
-    mask: LinkMask
     weight_loss: float
     retained_abs_weight: float
-    connectedness: int
-    ratio: float
     seed: int
     restarts: int
+
+    @property
+    def mask(self) -> LinkMask:
+        return mask_of(self.assignment)
+
+    @property
+    def connectedness(self) -> int:
+        """Surviving links: sum over partitions of rows_k * cols_k."""
+        rows, cols = self.assignment.sizes
+        return int(rows @ cols)
+
+    @property
+    def ratio(self) -> float:
+        a = self.assignment
+        return self.connectedness / connectedness_full(a.rows, a.cols)
 
 
 @dataclass(frozen=True)
@@ -260,15 +282,12 @@ def result_from_assignment(
     seed: int,
     restarts: int,
 ) -> PruneResult:
-    """Assemble a PruneResult, computing mask and metrics from scratch."""
+    """Assemble a PruneResult, computing its weight metrics anew."""
     mask = mask_of(assignment)
     return PruneResult(
         assignment=assignment,
-        mask=mask,
         weight_loss=weight_loss(weights, mask),
         retained_abs_weight=retained_abs_weight(weights, mask),
-        connectedness=connectedness(mask),
-        ratio=connectedness_ratio(mask),
         seed=seed,
         restarts=restarts,
     )

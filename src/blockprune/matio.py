@@ -132,29 +132,35 @@ def read_result(path, weights: WeightMatrix) -> PruneResult:
     recomputed so a tampered file cannot smuggle inconsistent numbers.
     """
     d = json.loads(Path(path).read_text())
+    if not isinstance(d, dict):
+        raise ValueError(f"{path}: result must be a JSON object")
     required = {"rows", "cols", "p", "seed", "restarts",
                 "row_partition", "col_partition"}
     missing = required - set(d)
     if missing:
         raise ValueError(f"{path}: missing result fields {sorted(missing)}")
+    for key in ("rows", "cols", "p", "seed", "restarts"):
+        if type(d[key]) is not int:
+            raise ValueError(f"{path}: {key} must be an integer, got {d[key]!r}")
     if (d["rows"], d["cols"]) != (weights.rows, weights.cols):
         raise ValueError(
             f"{path}: result is for a {d['rows']}x{d['cols']} layer, "
             f"weights are {weights.rows}x{weights.cols}"
         )
-    if len(d["row_partition"]) != d["rows"] or len(d["col_partition"]) != d["cols"]:
+    rows, cols, p = d["row_partition"], d["col_partition"], d["p"]
+    if not (isinstance(rows, list) and isinstance(cols, list)):
+        raise ValueError(f"{path}: partitions must be JSON arrays")
+    if len(rows) != d["rows"] or len(cols) != d["cols"]:
         raise ValueError(f"{path}: partition array lengths do not match dims")
-    p = int(d["p"])
-    labels = d["row_partition"] + d["col_partition"]
-    if any(not 0 <= int(v) < p for v in labels):
-        raise ValueError(f"{path}: partition labels must lie in [0, {p})")
+    if any(type(v) is not int or not 0 <= v < p for v in rows + cols):
+        raise ValueError(f"{path}: partition labels must be integers in [0, {p})")
     assignment = PartitionAssignment(
         p=p,
-        row_of=np.array(d["row_partition"], dtype=np.int64),
-        col_of=np.array(d["col_partition"], dtype=np.int64),
+        row_of=np.array(rows, dtype=np.int64),
+        col_of=np.array(cols, dtype=np.int64),
     )
     return result_from_assignment(
-        weights, assignment, seed=int(d["seed"]), restarts=int(d["restarts"])
+        weights, assignment, seed=d["seed"], restarts=d["restarts"]
     )
 
 

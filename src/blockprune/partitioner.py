@@ -24,7 +24,7 @@ instances for verification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -151,16 +151,7 @@ def multi_restart(
         res = greedy_partition(weights, p, stream_element(seed, r))
         if best is None or res.weight_loss < best.weight_loss:
             best = res
-    return PruneResult(
-        assignment=best.assignment,
-        mask=best.mask,
-        weight_loss=best.weight_loss,
-        retained_abs_weight=best.retained_abs_weight,
-        connectedness=best.connectedness,
-        ratio=best.ratio,
-        seed=seed,
-        restarts=restarts,
-    )
+    return replace(best, seed=seed, restarts=restarts)
 
 
 def refine_swaps(

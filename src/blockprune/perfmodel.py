@@ -20,7 +20,7 @@ of the same configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 CYCLES_FILL_DRAIN = 2  # pipeline fill + drain, (s - 1) each
 
@@ -64,25 +64,20 @@ class SimConfig:
             raise ValueError("energy constants must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "num_accelerators": self.num_accelerators,
-            "accel_clock_hz": self.accel_clock_hz,
-            "sa_dim": self.sa_dim,
-            "bytes_per_element": self.bytes_per_element,
-            "bus_bandwidth_bytes_per_cycle": self.bus_bandwidth_bytes_per_cycle,
-            "dma_fixed_overhead_cycles": self.dma_fixed_overhead_cycles,
-            "contention_overhead": self.contention_overhead,
-            "e_mac_pj": self.e_mac_pj,
-            "e_dram_byte_pj": self.e_dram_byte_pj,
-            "p_static_mw": self.p_static_mw,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
+        kinds = {f.name: type(f.default) for f in fields(cls)}
+        extra = set(d) - set(kinds)
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
+        for name, value in d.items():
+            # An int field takes an int; a float field an int or finite float.
+            if isinstance(value, bool) or not isinstance(value, (int, kinds[name])) or (
+                    isinstance(value, float) and not math.isfinite(value)):
+                raise ValueError(f"config field {name} must be a finite "
+                                 f"{kinds[name].__name__}, got {value!r}")
         cfg = cls(**d)
         cfg.validate()
         return cfg
@@ -129,17 +124,7 @@ class SimReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "accel_busy_cycles": list(self.accel_busy_cycles),
-            "bus_busy_cycles": self.bus_busy_cycles,
-            "makespan_cycles": self.makespan_cycles,
-            "energy_mac_pj": self.energy_mac_pj,
-            "energy_dram_pj": self.energy_dram_pj,
-            "energy_static_pj": self.energy_static_pj,
-            "energy_total_pj": self.energy_total_pj,
-            "speedup": self.speedup,
-            "energy_ratio": self.energy_ratio,
-        }
+        return asdict(self)
 
 
 class CalibrationError(ValueError):
@@ -267,6 +252,8 @@ def partitioned_workload(rows: int, cols: int, p: int) -> list:
 
 def replicated_workload(rows: int, cols: int, copies: int) -> list:
     """`copies` identical full-layer jobs, one per accelerator."""
+    if copies < 1:
+        raise ValueError("need at least one copy")
     return [Job(accelerator=a, m=1, k=rows, n=cols) for a in range(copies)]
 
 
@@ -283,8 +270,6 @@ def scaling_speedup(config: SimConfig, rows: int, cols: int, copies: int) -> flo
     Normalized per copy: k * makespan(1 copy) / makespan(k copies), so a
     perfectly scaling system scores exactly k.
     """
-    if copies < 1:
-        raise ValueError("need at least one copy")
     base = simulate(ensure_capacity(config, 1), baseline_workload(rows, cols))
     multi = simulate(
         ensure_capacity(config, copies), replicated_workload(rows, cols, copies)

@@ -61,9 +61,6 @@ class SplitMix64:
         # the draw sequence trivially portable.
         return self.next_u64() % n
 
-    def uniform(self) -> float:
-        return (self.next_u64() >> 11) * 2.0 ** -53
-
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates shuffle of range(n), one draw per position."""
         perm = np.arange(n, dtype=np.int64)

@@ -151,3 +151,37 @@ class TestPartitionedMatvec:
         d = decompose(w, res)
         x = np.arange(7, dtype=float)
         assert (x[d.row_perm][np.argsort(d.row_perm)] == x).all()
+
+
+class TestBatchedInput:
+    def setup_method(self):
+        self.w = uniform_matrix(9, 11, seed=15)
+        self.res = balanced_result(self.w, 3)
+        self.x = 2.0 * uniform_array(16, 5 * 9).reshape(5, 9) - 1.0
+
+    def test_masked_matches_single_rows(self):
+        mask = self.res.mask
+        batched = masked_matvec(self.w, mask, self.x)
+        assert batched.shape == (5, 11)
+        for t in range(5):
+            np.testing.assert_allclose(
+                batched[t], masked_matvec(self.w, mask, self.x[t]),
+                rtol=1e-12, atol=1e-15,
+            )
+
+    def test_partitioned_matches_single_rows(self):
+        d = decompose(self.w, self.res)
+        batched = partitioned_matvec(d, self.x)
+        assert batched.shape == (5, 11)
+        for t in range(5):
+            np.testing.assert_allclose(
+                batched[t], partitioned_matvec(d, self.x[t]),
+                rtol=1e-12, atol=1e-15,
+            )
+
+    def test_wrong_trailing_dimension_rejected(self):
+        bad = np.zeros((5, 8))
+        with pytest.raises(ValueError, match="length"):
+            masked_matvec(self.w, self.res.mask, bad)
+        with pytest.raises(ValueError, match="length"):
+            partitioned_matvec(decompose(self.w, self.res), bad)

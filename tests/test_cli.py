@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from blockprune import cli
 from blockprune.cli import main
 from blockprune.matio import read_json, read_matrix
+from blockprune.rng import SplitMix64
 
 
 def run(*argv) -> int:
@@ -92,6 +94,15 @@ class TestPrune:
                    "--quiet") == 0
         assert read_json(out)["refined"] is True
 
+    @pytest.mark.parametrize("passes", [0, -1])
+    def test_refine_without_passes_exits_2(self, matrix_6x8, tmp_path, capsys,
+                                           passes):
+        out = tmp_path / "r.json"
+        assert run("prune", matrix_6x8, "-p", 2, "--refine", "--max-passes",
+                   passes, "--out", out, "--quiet") == 2
+        assert "--max-passes" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOracle:
     def test_planted_gap_zero(self, planted_8x8, tmp_path):
@@ -156,6 +167,36 @@ class TestVerify:
         run("prune", matrix_6x8, "-p", 1, "--out", res, "--quiet")
         assert run("verify", matrix_6x8, res, "--quiet") == 0
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_no_trials_is_not_a_pass(self, matrix_6x8, tmp_path, capsys, trials):
+        res = tmp_path / "r.json"
+        run("prune", matrix_6x8, "-p", 2, "--out", res, "--quiet")
+        assert run("verify", matrix_6x8, res, "--trials", trials) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "trials" in captured.err
+
+    def test_trials_draw_the_sequential_stream_across_chunks(
+            self, matrix_6x8, tmp_path, monkeypatch):
+        res = tmp_path / "r.json"
+        run("prune", matrix_6x8, "-p", 2, "--out", res, "--quiet")
+        seen = []
+        real = cli.blockexec.masked_matvec
+
+        def spy(weights, mask, x):
+            seen.append(x)
+            return real(weights, mask, x)
+
+        monkeypatch.setattr(cli, "VERIFY_CHUNK", 3)
+        monkeypatch.setattr(cli.blockexec, "masked_matvec", spy)
+        assert run("verify", matrix_6x8, res, "--trials", 7, "--seed", 9,
+                   "--quiet") == 0
+        assert [len(x) for x in seen] == [3, 3, 1]
+        rng = SplitMix64(9)
+        want = [2.0 * ((rng.next_u64() >> 11) * 2.0 ** -53) - 1.0
+                for _ in range(7 * 6)]
+        assert np.concatenate(seen).ravel().tolist() == want
+
     def test_dim_mismatch_exits_2(self, matrix_6x8, tmp_path):
         other = tmp_path / "other.bpwm"
         run("gen", "--rows", 5, "--cols", 5, "--seed", 9, "--out", other,
@@ -187,6 +228,12 @@ class TestSimulate:
                    "--out", report, "--quiet") == 0
         d = read_json(report)
         assert 1.0 < d["speedup"] < 2.0
+
+    @pytest.mark.parametrize("copies", [0, -1])
+    def test_no_copies_exits_2(self, capsys, copies):
+        assert run("simulate", "--mode", "scaling", "--copies", copies,
+                   "--quiet") == 2
+        assert "copy" in capsys.readouterr().err
 
     def test_config_file_roundtrip(self, tmp_path):
         report = tmp_path / "c.json"
@@ -222,6 +269,48 @@ class TestCalibrate:
 
     def test_bad_target_spec_exits_2(self):
         assert run("calibrate", "--targets", "nonsense", "--quiet") == 2
+
+
+VALID_RESULT_6X8 = {
+    "rows": 6, "cols": 8, "p": 2, "seed": 0, "restarts": 1,
+    "row_partition": [0, 0, 0, 1, 1, 1],
+    "col_partition": [0, 0, 0, 0, 1, 1, 1, 1],
+}
+BAD_FILES = {
+    "result: fractional p": {**VALID_RESULT_6X8, "p": 2.5},
+    "result: fractional label":
+        {**VALID_RESULT_6X8, "row_partition": [0.7, 0, 0, 1, 1, 1]},
+    "result: null label":
+        {**VALID_RESULT_6X8, "col_partition": [0, 0, 0, 0, 1, 1, 1, None]},
+    "result: bool label":
+        {**VALID_RESULT_6X8, "row_partition": [True, 0, 0, 1, 1, 1]},
+    "result: non-list partition": {**VALID_RESULT_6X8, "row_partition": 6},
+    "result: string seed": {**VALID_RESULT_6X8, "seed": "7"},
+    "result: null restarts": {**VALID_RESULT_6X8, "restarts": None},
+    "result: non-object": [VALID_RESULT_6X8],
+    "config: non-object": [1],
+    "config: string field": {"num_accelerators": "x"},
+    "config: float in int field": {"sa_dim": 32.5},
+    "config: null field": {"e_mac_pj": None},
+    "config: non-finite field": {"accel_clock_hz": float("inf")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_malformed_file_exits_2_with_message(matrix_6x8, tmp_path, capsys, case):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(BAD_FILES[case]))
+    if case.startswith("result"):
+        commands = [("verify", matrix_6x8, bad),
+                    ("oracle", matrix_6x8, "-p", 2, "--result", bad)]
+    else:
+        commands = [("simulate", "--config", bad),
+                    ("calibrate", "--config", bad, "--targets", "2=1.8")]
+    for argv in commands:
+        assert run(*argv) == 2, argv
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert captured.err.startswith("error: "), argv
 
 
 class TestDeterminism:

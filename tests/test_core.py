@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,12 +8,14 @@ from hypothesis import strategies as st
 from blockprune.core import (
     LinkMask,
     PartitionAssignment,
+    PruneResult,
     WeightMatrix,
     connectedness,
     connectedness_full,
     connectedness_ratio,
     mask_of,
     partition_capacities,
+    result_from_assignment,
     retained_abs_weight,
     validate_assignment,
     weight_loss,
@@ -183,6 +187,12 @@ class TestMaskOf:
             for k in range(p)
         )
         assert connectedness(mask) == expect
+        res = result_from_assignment(
+            WeightMatrix(np.ones((rows, cols))), a, seed=0, restarts=1
+        )
+        assert type(res.connectedness) is int and res.connectedness == expect
+        assert res.ratio == connectedness_ratio(mask)
+        assert (res.mask.bits == mask.bits).all()
 
     def test_divisible_dims_hit_exact_ratio(self):
         for p in (2, 3, 4, 5):
@@ -218,3 +228,10 @@ class TestTypes:
     def test_flat_values_row_major(self):
         w = WeightMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert list(w.values) == [1.0, 2.0, 3.0, 4.0]
+
+
+def test_prune_result_stores_only_what_the_assignment_cannot_give():
+    names = [f.name for f in dataclasses.fields(PruneResult)]
+    assert names == [
+        "assignment", "weight_loss", "retained_abs_weight", "seed", "restarts",
+    ]

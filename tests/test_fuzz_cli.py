@@ -1,0 +1,126 @@
+"""Fuzz the command line: any input ends in exit 0, 2 or 3, never a traceback.
+
+Arguments take edge values (zero, negative, non-finite, 2**64), and the
+matrix, result and config files are valid, truncated, garbage, missing,
+or valid JSON with one field replaced by an arbitrary JSON value. Sizes
+stay tiny so every example runs in milliseconds.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from blockprune.cli import main
+
+INTS = st.sampled_from(["-1", "0", "1", "2", "3", "7"])
+SEEDS = st.sampled_from(["-1", "0", "5", str(2**64 + 1)])
+TOLERANCES = st.sampled_from(["-1", "0", "1e-300", "1e-5", "inf", "nan"])
+TARGETS = st.sampled_from(
+    ["", ",", "2=1.8", "1=1", "0=1", "2=-1", "x", "2=nan", "2=inf",
+     "3=2.5,2=1.8", "2=1.8=3"]
+)
+DISTS = st.sampled_from(
+    ["uniform", "gauss", "blockdiag:2", "blockdiag:0", "blockdiag:x", "nope"]
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10) | st.text(max_size=3)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    quiet = ["--quiet"]
+    assert main(["gen", "--rows", "6", "--cols", "7", "--seed", "1",
+                 "--out", str(d / "valid.bpwm")] + quiet) == 0
+    assert main(["prune", str(d / "valid.bpwm"), "-p", "2", "--restarts", "2",
+                 "--out", str(d / "valid_result.json")] + quiet) == 0
+    (d / "valid_config.json").write_text(json.dumps({"num_accelerators": 2}))
+    return d
+
+
+@st.composite
+def input_file(draw, work, kind):
+    """Path of a file of `kind` (matrix, result, config) in some state."""
+    valid = (work / {"matrix": "valid.bpwm", "result": "valid_result.json",
+                     "config": "valid_config.json"}[kind]).read_bytes()
+    state = draw(st.sampled_from(["valid", "truncated", "garbage", "missing",
+                                  "field"]))
+    path = work / f"fuzz_{kind}"
+    if state == "missing":
+        return str(work / "no_such_file")
+    if state == "valid":
+        data = valid
+    elif state == "truncated":
+        data = valid[: draw(st.integers(0, len(valid) - 1))]
+    elif state == "garbage":
+        data = draw(st.binary(max_size=40))
+    elif kind == "matrix":  # "field": one value of the CSV form replaced
+        data = draw(st.sampled_from(
+            [b"1,2\n3\n", b"nan,1\n", b"1e400\n", b"\n\n", b"BPWM\x01"]))
+    else:  # "field": one key of the JSON object replaced
+        doc = json.loads(valid)
+        key = draw(st.sampled_from(sorted(doc) + ["extra"]))
+        doc[key] = draw(JSON_VALUES)
+        data = json.dumps(doc).encode()
+    path.write_bytes(data)
+    return str(path)
+
+
+@st.composite
+def command(draw, work):
+    out = ["--out", str(work / "out.json")]
+    name = draw(st.sampled_from(
+        ["gen", "prune", "oracle", "verify", "simulate", "calibrate"]))
+    if name == "gen":
+        return ["gen", "--rows", draw(INTS), "--cols", draw(INTS),
+                "--dist", draw(DISTS), "--seed", draw(SEEDS),
+                "--out", str(work / "out.bpwm")]
+    if name == "prune":
+        argv = ["prune", draw(input_file(work, "matrix")), "-p", draw(INTS),
+                "--restarts", draw(INTS), "--seed", draw(SEEDS)]
+        if draw(st.booleans()):
+            argv += ["--refine", "--max-passes", draw(INTS)]
+        return argv + out
+    if name == "oracle":
+        argv = ["oracle", draw(input_file(work, "matrix")), "-p", draw(INTS),
+                "--budget", draw(st.sampled_from(["-1", "0", "100000"]))]
+        if draw(st.booleans()):
+            argv += ["--result", draw(input_file(work, "result"))]
+        return argv + out
+    if name == "verify":
+        return ["verify", draw(input_file(work, "matrix")),
+                draw(input_file(work, "result")), "--trials", draw(INTS),
+                "--tolerance", draw(TOLERANCES), "--seed", draw(SEEDS)] + out
+    config = ["--config", draw(input_file(work, "config"))] if draw(
+        st.booleans()) else []
+    dims = ["--rows", draw(INTS), "--cols", draw(INTS)]
+    if name == "simulate":
+        return ["simulate", *config, *dims, "-p", draw(INTS),
+                "--mode", draw(st.sampled_from(["partition", "scaling"])),
+                "--copies", draw(INTS)] + out
+    return ["calibrate", *config, *dims, "--targets", draw(TARGETS)] + out
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_input_exits_0_2_or_3_without_traceback(work, data):
+    argv = data.draw(command(work))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv + ["--quiet"])
+        except SystemExit as e:  # argparse rejects malformed arguments
+            rc = e.code
+    assert rc in (0, 2, 3), (argv, rc, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+

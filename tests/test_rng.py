@@ -42,6 +42,15 @@ def test_uniform_array_range_and_determinism():
     assert abs(u.mean() - 0.5) < 0.02
 
 
+def test_uniform_array_is_the_sequential_stream():
+    # Reference: one draw at a time, (next_u64() >> 11) * 2**-53.
+    for seed in (0, 5, 2**64 - 1):
+        rng = SplitMix64(seed)
+        seq = [(rng.next_u64() >> 11) * 2.0 ** -53 for _ in range(40)]
+        assert uniform_array(seed, 40).tolist() == seq
+        assert uniform_array(seed, 25, offset=15).tolist() == seq[15:]
+
+
 def test_permutation_is_permutation_and_deterministic():
     for seed in (0, 1, 999):
         perm = SplitMix64(seed).permutation(50)
