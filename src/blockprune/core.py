@@ -66,7 +66,11 @@ class LinkMask:
         b = np.asarray(self.bits)
         if b.ndim != 2 or b.shape[0] < 1 or b.shape[1] < 1:
             raise ValueError("mask must be 2-D with positive dimensions")
-        if not np.isin(b, (0, 1)).all():
+        if b.dtype.kind in "bu":
+            binary = b.max() <= 1
+        else:
+            binary = ((b == 0) | (b == 1)).all()
+        if not binary:
             raise ValueError("mask entries must be 0 or 1")
         object.__setattr__(self, "bits", _locked(np.array(b, dtype=np.uint8, order="C")))
 
@@ -223,8 +227,7 @@ def partition_capacities(n: int, p: int) -> tuple:
 
 def mask_of(assignment: PartitionAssignment) -> LinkMask:
     """Mask keeping exactly the links whose endpoints share a partition."""
-    bits = (assignment.row_of[:, None] == assignment.col_of[None, :])
-    return LinkMask(bits.astype(np.uint8))
+    return LinkMask(assignment.row_of[:, None] == assignment.col_of[None, :])
 
 
 def _check_side(labels: np.ndarray, n: int, p: int, name: str, out: list):

@@ -131,7 +131,7 @@ def read_result(path, weights: WeightMatrix) -> PruneResult:
     The stored assignment is authoritative; mask and metrics are
     recomputed so a tampered file cannot smuggle inconsistent numbers.
     """
-    d = json.loads(Path(path).read_text())
+    d = read_json(path)
     if not isinstance(d, dict):
         raise ValueError(f"{path}: result must be a JSON object")
     required = {"rows", "cols", "p", "seed", "restarts",
@@ -148,6 +148,10 @@ def read_result(path, weights: WeightMatrix) -> PruneResult:
             f"weights are {weights.rows}x{weights.cols}"
         )
     rows, cols, p = d["row_partition"], d["col_partition"], d["p"]
+    if not 1 <= p <= min(d["rows"], d["cols"]):
+        raise ValueError(
+            f"{path}: p={p} out of range [1, {min(d['rows'], d['cols'])}]"
+        )
     if not (isinstance(rows, list) and isinstance(cols, list)):
         raise ValueError(f"{path}: partitions must be JSON arrays")
     if len(rows) != d["rows"] or len(cols) != d["cols"]:
@@ -170,5 +174,9 @@ def write_json(path, payload: dict):
     Path(path).write_text(text + "\n")
 
 
-def read_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+def read_json(path):
+    """Parse a JSON file; any malformed document raises ValueError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError as e:
+        raise ValueError(f"{path}: JSON nested too deeply") from e

@@ -15,16 +15,25 @@ so the first-founded partition is the largest on both sides. All ties
 break toward the lowest index (column, partition, or restart), making
 every run a pure function of (weights, p, seed).
 
-A multi-restart wrapper keeps the best of many independent constructions,
-an optional local search polishes a result by swapping node pairs across
-partitions, and a brute-force oracle computes the exact optimum on small
-instances for verification.
+Founding usually ends within the first few dozen rows visited. From then
+on the column sets are frozen, so the scores of all remaining rows come
+from one pass over the columns, added in the same order as scoring each
+row alone, and so bit-identical to it.
+
+A multi-restart wrapper keeps the best of many independent constructions.
+Each construction tracks its retained weight (the sum of its winning
+scores), so restarts are ranked without building a mask; the canonical
+loss is computed only for the restarts that tie the best within a margin
+far wider than rounding, so the result is that of scoring every restart
+exactly. An optional local search polishes a result by swapping node
+pairs across partitions, and a brute-force oracle computes the exact
+optimum on small instances for verification.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -77,61 +86,101 @@ def _top_columns(abs_row: np.ndarray, candidates: np.ndarray, k: int) -> np.ndar
     return candidates[order[:k]]
 
 
-def greedy_partition(weights: WeightMatrix, p: int, seed: int) -> PruneResult:
-    """One full greedy construction from a seeded random row order."""
-    rows, cols = weights.rows, weights.cols
-    _check_p(rows, cols, p)
+def _best_open(scores: list, row_counts: list, row_caps: tuple):
+    """(partition, score) of the best-scoring partition with a free row.
+
+    Strict `>` from a score of -1 keeps ties on the lowest index; with no
+    free row the result is (-1, -1.0).
+    """
+    best_k, best_score = -1, -1.0
+    for k, score in enumerate(scores):
+        if row_counts[k] < row_caps[k] and score > best_score:
+            best_k, best_score = k, score
+    return best_k, best_score
+
+
+def _abs_weights(weights: WeightMatrix) -> np.ndarray:
+    """|W| in column-major order, so every column is one contiguous run."""
+    return np.abs(weights.data.T, order="C").T
+
+
+def _greedy_assignment(abs_w: np.ndarray, p: int, seed: int) -> tuple:
+    """One greedy construction: (assignment, tracked retained weight).
+
+    The tracked weight is the sum of the winning scores, so it equals the
+    retained |W| up to summation-order rounding. Rows visited after the
+    last founding are scored in one pass over the columns of abs_w, in
+    index order: the order `np.bincount` adds a row's magnitudes in, so
+    every score is bit-identical to scoring the row on its own.
+    """
+    rows, cols = abs_w.shape
     row_caps = partition_capacities(rows, p)
     col_caps = partition_capacities(cols, p)
-    abs_w = np.abs(weights.data)
 
     order = SplitMix64(seed).permutation(rows)
     row_of = np.full(rows, -1, dtype=np.int64)
     col_of = np.full(cols, -1, dtype=np.int64)
-    row_counts = np.zeros(p, dtype=np.int64)
+    row_counts = [0] * p
     founded = 0
+    retained = 0.0
 
-    for idx in range(rows):
+    idx = 0
+    while founded < p:
         r = int(order[idx])
         abs_row = abs_w[r]
-        remaining_rows = rows - idx
-        must_found = founded < p and remaining_rows == p - founded
+        must_found = rows - idx == p - founded
 
-        best_k = -1
-        best_score = -1.0
-        if not must_found:
+        best_k, best_score = -1, -1.0
+        if founded and not must_found:
             assigned = col_of >= 0
-            if founded and assigned.any():
-                scores = np.bincount(
-                    col_of[assigned], weights=abs_row[assigned], minlength=founded
-                )
-                for k in range(founded):
-                    if row_counts[k] < row_caps[k] and scores[k] > best_score:
-                        best_k = k
-                        best_score = scores[k]
+            scores = np.bincount(
+                col_of[assigned], weights=abs_row[assigned], minlength=founded
+            )
+            best_k, best_score = _best_open(scores.tolist(), row_counts, row_caps)
 
+        free_cols = np.flatnonzero(col_of < 0)
         found_here = must_found
-        free_cols = None
-        if not found_here and founded < p:
-            free_cols = np.flatnonzero(col_of < 0)
+        if not found_here:
             cap = col_caps[founded]
             top = np.partition(abs_row[free_cols], len(free_cols) - cap)[-cap:]
             # Founding loses ties to any founded partition.
             found_here = float(top.sum()) > best_score
 
         if found_here:
-            if free_cols is None:
-                free_cols = np.flatnonzero(col_of < 0)
             chosen = _top_columns(abs_row, free_cols, col_caps[founded])
             col_of[chosen] = founded
             row_of[r] = founded
             row_counts[founded] += 1
+            retained += float(abs_row[chosen].sum())
             founded += 1
         else:
             row_of[r] = best_k
             row_counts[best_k] += 1
+            retained += best_score
+        idx += 1
 
-    assignment = PartitionAssignment(p=p, row_of=row_of, col_of=col_of)
+    # Column sets are frozen: score every row against every partition.
+    rest = order[idx:]
+    if len(rest):
+        score = np.zeros((p, rows))
+        abs_t = abs_w.T
+        for j, k in enumerate(col_of.tolist()):
+            score[k] += abs_t[j]
+        labels = []
+        for row_scores in score[:, rest].T.tolist():
+            best_k, best_score = _best_open(row_scores, row_counts, row_caps)
+            labels.append(best_k)
+            row_counts[best_k] += 1
+            retained += best_score
+        row_of[rest] = labels
+
+    return PartitionAssignment(p=p, row_of=row_of, col_of=col_of), retained
+
+
+def greedy_partition(weights: WeightMatrix, p: int, seed: int) -> PruneResult:
+    """One full greedy construction from a seeded random row order."""
+    _check_p(weights.rows, weights.cols, p)
+    assignment, _ = _greedy_assignment(_abs_weights(weights), p, seed)
     return result_from_assignment(weights, assignment, seed=seed, restarts=1)
 
 
@@ -143,15 +192,30 @@ def multi_restart(
     Restart r uses stream element r of the master seed, so restarts are
     mutually independent and may run in any order; the kept result is the
     minimum loss with ties broken by lowest restart index.
+
+    Restarts are ranked by the retained weight each construction tracks,
+    with no mask built. The canonical `weight_loss` is then computed only
+    for restarts whose tracked weight lies within a margin of the best,
+    far wider than any rounding in the tracking, so the kept restart is
+    the one a full exact scoring of every restart would keep.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    best = None
-    for r in range(restarts):
-        res = greedy_partition(weights, p, stream_element(seed, r))
-        if best is None or res.weight_loss < best.weight_loss:
-            best = res
-    return replace(best, seed=seed, restarts=restarts)
+    _check_p(weights.rows, weights.cols, p)
+    abs_w = _abs_weights(weights)
+    margin = 1e-6 * max(float(abs_w.sum()), 1.0)
+    runs = [
+        _greedy_assignment(abs_w, p, stream_element(seed, r))
+        for r in range(restarts)
+    ]
+    # Free |W| before the exact pass allocates its own n x n temporaries.
+    del abs_w
+    best = max(tracked for _, tracked in runs)
+    near = [a for a, tracked in runs if tracked >= best - margin]
+    winner = near[0]
+    if len(near) > 1:
+        winner = min(near, key=lambda a: weight_loss(weights, mask_of(a)))
+    return result_from_assignment(weights, winner, seed=seed, restarts=restarts)
 
 
 def refine_swaps(

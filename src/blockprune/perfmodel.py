@@ -308,7 +308,7 @@ def calibrate(
     if not targets:
         raise ValueError("need at least one calibration target")
     for copies, target in targets:
-        if copies < 1 or target <= 0:
+        if copies < 1 or not 0 < target < math.inf:
             raise ValueError(f"invalid target ({copies}, {target})")
     config.validate()
 

@@ -62,9 +62,15 @@ class SplitMix64:
         return self.next_u64() % n
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates shuffle of range(n), one draw per position."""
-        perm = np.arange(n, dtype=np.int64)
-        for i in range(n - 1, 0, -1):
-            j = self.next_below(i + 1)
+        """Fisher-Yates shuffle of range(n), one draw per position.
+
+        Position i = n-1 .. 1 swaps with next_below(i + 1); the n - 1
+        draws are taken from the stream in one call.
+        """
+        draws = max(n - 1, 0)
+        js = stream_array(self._state, draws) % np.arange(n, 1, -1, dtype=np.uint64)
+        self._state = (self._state + draws * GOLDEN) & MASK64
+        perm = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), js.tolist()):
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int64)

@@ -288,6 +288,13 @@ BAD_FILES = {
     "result: string seed": {**VALID_RESULT_6X8, "seed": "7"},
     "result: null restarts": {**VALID_RESULT_6X8, "restarts": None},
     "result: non-object": [VALID_RESULT_6X8],
+    # One node per label passes every per-partition bound, so a huge p
+    # once sent verify through an O(p) loop that ran for minutes.
+    "result: p far above min(rows, cols)": {
+        **VALID_RESULT_6X8, "p": 20000000,
+        "row_partition": list(range(6)), "col_partition": list(range(8))},
+    "result: p above min(rows, cols)": {**VALID_RESULT_6X8, "p": 7},
+    "result: zero p": {**VALID_RESULT_6X8, "p": 0},
     "config: non-object": [1],
     "config: string field": {"num_accelerators": "x"},
     "config: float in int field": {"sa_dim": 32.5},
@@ -311,6 +318,32 @@ def test_malformed_file_exits_2_with_message(matrix_6x8, tmp_path, capsys, case)
         captured = capsys.readouterr()
         assert "PASS" not in captured.out
         assert captured.err.startswith("error: "), argv
+
+
+@pytest.mark.parametrize("kind", ["result", "config"])
+def test_deeply_nested_json_exits_2_with_message(matrix_6x8, tmp_path, capsys,
+                                                 kind):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100000)
+    if kind == "result":
+        commands = [("verify", matrix_6x8, nested),
+                    ("oracle", matrix_6x8, "-p", 2, "--result", nested)]
+    else:
+        commands = [("simulate", "--config", nested),
+                    ("calibrate", "--config", nested, "--targets", "2=1.8")]
+    for argv in commands:
+        assert run(*argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nested too deeply" in err, argv
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("targets", ["2=nan", "2=inf", "2=1.8,3=nan", "2=-inf"])
+def test_non_finite_calibration_target_exits_2(tmp_path, capsys, targets):
+    out = tmp_path / "fitted.json"
+    assert run("calibrate", "--targets", targets, "--out", out, "--quiet") == 2
+    assert capsys.readouterr().err.startswith("error: invalid target")
+    assert not out.exists()
 
 
 class TestDeterminism:

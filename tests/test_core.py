@@ -214,6 +214,27 @@ class TestTypes:
         with pytest.raises(ValueError, match="0 or 1"):
             LinkMask(np.array([[0, 2]]))
 
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.uint64, np.int8,
+                                       np.int64, np.float32, np.float64])
+    def test_mask_accepts_zero_one_of_any_dtype(self, dtype):
+        m = LinkMask(np.array([[0, 1], [1, 1]], dtype=dtype))
+        assert m.bits.dtype == np.uint8
+        assert m.bits.tolist() == [[0, 1], [1, 1]]
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[0, 2]], dtype=np.uint8),
+        np.array([[1, 2]], dtype=np.uint64),
+        np.array([[0, -1]], dtype=np.int64),
+        np.array([[1, -1]], dtype=np.int8),
+        np.array([[0.5, 1.0]]),
+        np.array([[1.0, np.nan]]),
+        np.array([[np.inf, 0.0]]),
+        np.array([[1 + 1j, 0]]),
+    ])
+    def test_mask_rejects_non_binary_values(self, bad):
+        with pytest.raises(ValueError, match="0 or 1"):
+            LinkMask(bad)
+
     def test_values_are_locked(self):
         w = WeightMatrix(np.ones((2, 2)))
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
 """Fuzz the command line: any input ends in exit 0, 2 or 3, never a traceback.
 
 Arguments take edge values (zero, negative, non-finite, 2**64), and the
-matrix, result and config files are valid, truncated, garbage, missing,
-or valid JSON with one field replaced by an arbitrary JSON value. Sizes
+matrix, result and config files are valid, truncated, garbage (random
+bytes, or JSON nested too deeply to parse), missing, or valid JSON with
+one field replaced by an arbitrary JSON value. Sizes
 stay tiny so every example runs in milliseconds.
 """
 
@@ -62,7 +63,7 @@ def input_file(draw, work, kind):
     elif state == "truncated":
         data = valid[: draw(st.integers(0, len(valid) - 1))]
     elif state == "garbage":
-        data = draw(st.binary(max_size=40))
+        data = draw(st.binary(max_size=40) | st.just(b"[" * 100000))
     elif kind == "matrix":  # "field": one value of the CSV form replaced
         data = draw(st.sampled_from(
             [b"1,2\n3\n", b"nan,1\n", b"1e400\n", b"\n\n", b"BPWM\x01"]))

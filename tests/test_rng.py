@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from blockprune.rng import SplitMix64, stream_array, stream_element, uniform_array
 
@@ -56,6 +57,23 @@ def test_permutation_is_permutation_and_deterministic():
         perm = SplitMix64(seed).permutation(50)
         assert sorted(perm) == list(range(50))
         assert (perm == SplitMix64(seed).permutation(50)).all()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 2048])
+def test_permutation_is_the_sequential_shuffle(seed, n):
+    # Reference: Fisher-Yates with one next_below draw per position.
+    ref = SplitMix64(seed)
+    want = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = ref.next_below(i + 1)
+        want[i], want[j] = want[j], want[i]
+    rng = SplitMix64(seed)
+    perm = rng.permutation(n)
+    assert perm.dtype == np.int64
+    assert perm.tolist() == want
+    # The generator ends where the sequential draws left it.
+    assert rng.next_u64() == ref.next_u64()
 
 
 def test_different_seeds_differ():
