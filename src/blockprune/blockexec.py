@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LinkMask, PruneResult, WeightMatrix, validate_assignment
+from .core import LinkMask, PartitionAssignment, WeightMatrix, validate_assignment
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,9 +40,10 @@ class BlockDecomposition:
         return len(self.col_perm)
 
 
-def decompose(weights: WeightMatrix, result: PruneResult) -> BlockDecomposition:
-    """Extract the per-partition weight blocks of a feasible result."""
-    assignment = result.assignment
+def decompose(
+    weights: WeightMatrix, assignment: PartitionAssignment
+) -> BlockDecomposition:
+    """Extract the per-partition weight blocks of a feasible assignment."""
     if (weights.rows, weights.cols) != (assignment.rows, assignment.cols):
         raise ValueError("weights and assignment dimensions differ")
     check = validate_assignment(assignment, weights.rows, weights.cols)

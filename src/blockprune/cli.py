@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import blockexec, generate, matio, perfmodel
-from .core import validate_assignment
+from .core import mask_of, validate_assignment
 from .partitioner import (
     DEFAULT_ORACLE_BUDGET,
     DEFAULT_RESTARTS,
@@ -103,8 +103,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     weights = matio.read_matrix(args.input)
-    result = matio.read_result(args.result, weights)
-    check = validate_assignment(result.assignment, weights.rows, weights.cols)
+    assignment, _, _ = matio.read_assignment(args.result, weights)
+    check = validate_assignment(assignment, weights.rows, weights.cols)
     payload = {
         "valid": check.ok,
         "violations": list(check.violations),
@@ -121,8 +121,8 @@ def cmd_verify(args) -> int:
         raise ValueError("tolerance must be positive")
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
-    decomp = blockexec.decompose(weights, result)
-    mask = result.mask
+    decomp = blockexec.decompose(weights, assignment)
+    mask = mask_of(assignment)
     rows = weights.rows
     floor = 1e-9 / args.tolerance  # absolute floor on the comparison scale
     worst = 0.0

@@ -189,25 +189,32 @@ def connectedness_ratio(mask: LinkMask) -> float:
     return connectedness(mask) / connectedness_full(mask.rows, mask.cols)
 
 
-def weight_loss(weights: WeightMatrix, mask: LinkMask) -> float:
-    """Cumulative absolute weight of pruned links.
+def _abs_sum(weights: WeightMatrix, selected: np.ndarray) -> float:
+    """Sum of |w| over the selected entries, added in row-major order.
 
-    Summation runs over the pruned entries in row-major order, the same
-    path for every caller, so equal assignments always produce bit-equal
-    losses and exact comparisons between search and oracle are sound.
+    Every weight metric goes through here, so equal selections always
+    give bit-equal sums and exact comparisons between search and oracle
+    are sound.
     """
+    picked = weights.data[selected]
+    return float(np.abs(picked, out=picked).sum())
+
+
+def _check_dims(weights: WeightMatrix, mask: LinkMask):
     if (weights.rows, weights.cols) != (mask.rows, mask.cols):
         raise ValueError("weights and mask dimensions differ")
-    pruned = np.abs(weights.data)[mask.bits == 0]
-    return float(pruned.sum())
+
+
+def weight_loss(weights: WeightMatrix, mask: LinkMask) -> float:
+    """Cumulative absolute weight of pruned links."""
+    _check_dims(weights, mask)
+    return _abs_sum(weights, mask.bits == 0)
 
 
 def retained_abs_weight(weights: WeightMatrix, mask: LinkMask) -> float:
     """Cumulative absolute weight of surviving links."""
-    if (weights.rows, weights.cols) != (mask.rows, mask.cols):
-        raise ValueError("weights and mask dimensions differ")
-    kept = np.abs(weights.data)[mask.bits == 1]
-    return float(kept.sum())
+    _check_dims(weights, mask)
+    return _abs_sum(weights, mask.bits == 1)
 
 
 def partition_capacities(n: int, p: int) -> tuple:
@@ -285,12 +292,19 @@ def result_from_assignment(
     seed: int,
     restarts: int,
 ) -> PruneResult:
-    """Assemble a PruneResult, computing its weight metrics anew."""
+    """Assemble a PruneResult, computing its weight metrics anew.
+
+    One mask comparison selects the pruned entries and its complement the
+    kept ones; both are summed by `_abs_sum`, so the metrics are bit-equal
+    to `weight_loss` and `retained_abs_weight` of the same mask.
+    """
     mask = mask_of(assignment)
+    _check_dims(weights, mask)
+    pruned = mask.bits == 0
     return PruneResult(
         assignment=assignment,
-        weight_loss=weight_loss(weights, mask),
-        retained_abs_weight=retained_abs_weight(weights, mask),
+        weight_loss=_abs_sum(weights, pruned),
+        retained_abs_weight=_abs_sum(weights, ~pruned),
         seed=seed,
         restarts=restarts,
     )

@@ -125,11 +125,12 @@ def write_result(path, result: PruneResult, refined: bool):
     write_json(path, result_to_dict(result, refined))
 
 
-def read_result(path, weights: WeightMatrix) -> PruneResult:
-    """Load a result file and rebuild its metrics against the weights.
+def read_assignment(path, weights: WeightMatrix) -> tuple:
+    """Load a result file's assignment, checked against the weights.
 
-    The stored assignment is authoritative; mask and metrics are
-    recomputed so a tampered file cannot smuggle inconsistent numbers.
+    Returns (assignment, seed, restarts). Labels are checked to lie in
+    [0, p); balance is left to `validate_assignment`. The stored metrics
+    are not read.
     """
     d = read_json(path)
     if not isinstance(d, dict):
@@ -163,9 +164,17 @@ def read_result(path, weights: WeightMatrix) -> PruneResult:
         row_of=np.array(rows, dtype=np.int64),
         col_of=np.array(cols, dtype=np.int64),
     )
-    return result_from_assignment(
-        weights, assignment, seed=d["seed"], restarts=d["restarts"]
-    )
+    return assignment, d["seed"], d["restarts"]
+
+
+def read_result(path, weights: WeightMatrix) -> PruneResult:
+    """Load a result file and rebuild its metrics against the weights.
+
+    The stored assignment is authoritative; mask and metrics are
+    recomputed so a tampered file cannot smuggle inconsistent numbers.
+    """
+    assignment, seed, restarts = read_assignment(path, weights)
+    return result_from_assignment(weights, assignment, seed=seed, restarts=restarts)
 
 
 def write_json(path, payload: dict):

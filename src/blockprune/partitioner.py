@@ -218,6 +218,44 @@ def multi_restart(
     return result_from_assignment(weights, winner, seed=seed, restarts=restarts)
 
 
+def _one_hot(labels: np.ndarray, n: int) -> np.ndarray:
+    m = np.zeros((len(labels), n))
+    m[np.arange(len(labels)), labels] = 1.0
+    return m
+
+
+def _best_swap(gain: np.ndarray, labels: np.ndarray, p: int) -> tuple:
+    """(gain, i, j) of the best swap of two nodes on one side.
+
+    gain[i, k] is the retained weight of node i if it lived in partition
+    k. Swapping nodes i < j of partitions a != b gains
+    ((gain[i, b] + gain[j, a]) - gain[i, a]) - gain[j, b], evaluated in
+    that order. The best is the largest positive gain, ties to the lowest
+    (i, j); with no positive gain the result is (0.0, -1, -1). Each
+    ordered partition pair (a, b) is one block of pairs: its nodes are in
+    index order, so the first maximum in the block is its lowest (i, j).
+    """
+    members = [np.flatnonzero(labels == k) for k in range(p)]
+    best = (0.0, -1, -1)
+    for a, ia in enumerate(members):
+        ga = gain[ia]
+        for b, ib in enumerate(members):
+            if a == b or not (len(ia) and len(ib)):
+                continue
+            gb = gain[ib]
+            g = ga[:, b, None] + gb[:, a]
+            g -= ga[:, a, None]
+            g -= gb[:, b]
+            g[ia[:, None] > ib] = 0.0  # the pair belongs to block (b, a)
+            np.fmax(g, 0.0, out=g)  # a NaN gain never wins
+            k = int(np.argmax(g))
+            top = float(g.flat[k])
+            i, j = int(ia[k // len(ib)]), int(ib[k % len(ib)])
+            if top > best[0] or (top == best[0] > 0.0 and (i, j) < best[1:]):
+                best = (top, i, j)
+    return best
+
+
 def refine_swaps(
     weights: WeightMatrix, result: PruneResult, max_passes: int = 100
 ) -> PruneResult:
@@ -225,8 +263,14 @@ def refine_swaps(
 
     Each pass applies the single best loss-reducing swap of two rows or
     two columns that live in different partitions; swaps preserve group
-    sizes, so feasibility is maintained. Stops when no swap improves or
-    after max_passes swaps. The returned loss never exceeds the input's.
+    sizes, so feasibility is maintained. A column swap is taken only if it
+    gains strictly more than the best row swap. Stops when no swap
+    improves or after max_passes swaps. The returned loss never exceeds
+    the input's.
+
+    The gains of one side depend only on the other side's labels, so a
+    row swap leaves the row gains as they are and only the column gains
+    are recomputed, and the other way round.
     """
     p = result.assignment.p
     if p == 1 or max_passes < 1:
@@ -235,37 +279,22 @@ def refine_swaps(
     row_of = result.assignment.row_of.copy()
     col_of = result.assignment.col_of.copy()
 
-    def one_hot(labels, n):
-        m = np.zeros((len(labels), n))
-        m[np.arange(len(labels)), labels] = 1.0
-        return m
-
+    # row_gain[i, k]: retained weight of row i if it lived in partition k.
+    row_gain = abs_w @ _one_hot(col_of, p)
+    col_gain = abs_w.T @ _one_hot(row_of, p)
     for _ in range(max_passes):
-        # row_gain[i, k]: retained weight of row i if it lived in partition k.
-        row_gain = abs_w @ one_hot(col_of, p)
-        col_gain = abs_w.T @ one_hot(row_of, p)
-
-        best = (0.0, None)
-        for i, j in combinations(range(len(row_of)), 2):
-            a, b = row_of[i], row_of[j]
-            if a == b:
-                continue
-            g = row_gain[i, b] + row_gain[j, a] - row_gain[i, a] - row_gain[j, b]
-            if g > best[0]:
-                best = (g, ("row", i, j))
-        for i, j in combinations(range(len(col_of)), 2):
-            a, b = col_of[i], col_of[j]
-            if a == b:
-                continue
-            g = col_gain[i, b] + col_gain[j, a] - col_gain[i, a] - col_gain[j, b]
-            if g > best[0]:
-                best = (g, ("col", i, j))
-
-        if best[1] is None:
+        row_best = _best_swap(row_gain, row_of, p)
+        col_best = _best_swap(col_gain, col_of, p)
+        if col_best[0] > row_best[0]:
+            _, i, j = col_best
+            col_of[[i, j]] = col_of[[j, i]]
+            row_gain = abs_w @ _one_hot(col_of, p)
+        elif row_best[0] > 0.0:
+            _, i, j = row_best
+            row_of[[i, j]] = row_of[[j, i]]
+            col_gain = abs_w.T @ _one_hot(row_of, p)
+        else:
             break
-        kind, i, j = best[1]
-        labels = row_of if kind == "row" else col_of
-        labels[i], labels[j] = labels[j], labels[i]
 
     assignment = PartitionAssignment(p=p, row_of=row_of, col_of=col_of)
     refined = result_from_assignment(

@@ -135,7 +135,7 @@ def test_criterion_4_functional_equivalence():
         p = int(rng.integers(2, 1 + min(5, rows, cols)))
         w = uniform_matrix(rows, cols, seed=trial)
         res = multi_restart(w, p, restarts=4, seed=trial)
-        d = decompose(w, res)
+        d = decompose(w, res.assignment)
         x = rng.normal(size=rows)
         want = masked_matvec(w, res.mask, x)
         got = partitioned_matvec(d, x)

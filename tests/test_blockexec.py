@@ -6,7 +6,6 @@ from blockprune.core import (
     LinkMask,
     PartitionAssignment,
     WeightMatrix,
-    result_from_assignment,
 )
 from blockprune.generate import blockdiag_matrix, uniform_matrix
 from blockprune.partitioner import greedy_partition, multi_restart
@@ -21,14 +20,14 @@ class TestDecompose:
     def test_6x8_two_blocks_of_3x4(self):
         w = uniform_matrix(6, 8, seed=1)
         res = balanced_result(w, 2)
-        d = decompose(w, res)
+        d = decompose(w, res.assignment)
         assert [b.shape for b in d.blocks] == [(3, 4), (3, 4)]
         assert sum(b.size for b in d.blocks) == 24  # half of 48
 
     def test_p1_identity(self):
         w = uniform_matrix(5, 7, seed=2)
         res = balanced_result(w, 1)
-        d = decompose(w, res)
+        d = decompose(w, res.assignment)
         assert len(d.blocks) == 1
         assert (d.blocks[0] == w.data).all()
         assert (d.row_perm == np.arange(5)).all()
@@ -37,7 +36,7 @@ class TestDecompose:
     def test_7x10_p3_block_shapes(self):
         w = uniform_matrix(7, 10, seed=3)
         res = balanced_result(w, 3)
-        d = decompose(w, res)
+        d = decompose(w, res.assignment)
         assert sorted((b.shape for b in d.blocks), reverse=True) == [
             (3, 4),
             (2, 3),
@@ -47,19 +46,19 @@ class TestDecompose:
     def test_block_sizes_sum_to_connectedness(self):
         w = uniform_matrix(9, 11, seed=4)
         res = balanced_result(w, 3)
-        d = decompose(w, res)
+        d = decompose(w, res.assignment)
         assert sum(b.size for b in d.blocks) == res.connectedness
 
     def test_permutations_are_bijections(self):
         w = uniform_matrix(8, 6, seed=5)
-        d = decompose(w, balanced_result(w, 2))
+        d = decompose(w, balanced_result(w, 2).assignment)
         assert sorted(d.row_perm) == list(range(8))
         assert sorted(d.col_perm) == list(range(6))
 
     def test_permuted_mask_is_block_diagonal(self):
         w = uniform_matrix(8, 8, seed=6)
         res = balanced_result(w, 2)
-        d = decompose(w, res)
+        d = decompose(w, res.assignment)
         permuted = res.mask.bits[np.ix_(d.row_perm, d.col_perm)]
         expect = np.zeros((8, 8), dtype=np.uint8)
         r0 = c0 = 0
@@ -71,15 +70,10 @@ class TestDecompose:
 
     def test_infeasible_assignment_rejected(self):
         w = uniform_matrix(6, 6, seed=7)
-        bad = result_from_assignment(
-            w,
-            PartitionAssignment(
-                p=2,
-                row_of=np.array([0, 0, 0, 0, 0, 1]),
-                col_of=np.array([0, 0, 0, 1, 1, 1]),
-            ),
-            seed=0,
-            restarts=1,
+        bad = PartitionAssignment(
+            p=2,
+            row_of=np.array([0, 0, 0, 0, 0, 1]),
+            col_of=np.array([0, 0, 0, 1, 1, 1]),
         )
         with pytest.raises(ValueError, match="infeasible"):
             decompose(w, bad)
@@ -113,7 +107,7 @@ class TestMaskedMatvec:
 class TestPartitionedMatvec:
     def test_p1_equals_dense(self):
         w = uniform_matrix(6, 6, seed=10)
-        d = decompose(w, balanced_result(w, 1))
+        d = decompose(w, balanced_result(w, 1).assignment)
         x = uniform_array(1, 6)
         assert partitioned_matvec(d, x) == pytest.approx(x @ w.data)
 
@@ -121,7 +115,7 @@ class TestPartitionedMatvec:
         w = blockdiag_matrix(9, 12, 3, seed=11)
         res = balanced_result(w, 3)
         assert res.weight_loss == 0.0
-        d = decompose(w, res)
+        d = decompose(w, res.assignment)
         x = uniform_array(2, 9)
         assert partitioned_matvec(d, x) == pytest.approx(x @ w.data)
 
@@ -133,7 +127,7 @@ class TestPartitionedMatvec:
             p = int(rng.integers(2, 1 + min(5, rows, cols)))
             w = uniform_matrix(rows, cols, seed=trial)
             res = balanced_result(w, p, seed=trial)
-            d = decompose(w, res)
+            d = decompose(w, res.assignment)
             x = rng.normal(size=rows)
             want = masked_matvec(w, res.mask, x)
             got = partitioned_matvec(d, x)
@@ -141,14 +135,14 @@ class TestPartitionedMatvec:
 
     def test_length_mismatch(self):
         w = uniform_matrix(6, 4, seed=13)
-        d = decompose(w, balanced_result(w, 2))
+        d = decompose(w, balanced_result(w, 2).assignment)
         with pytest.raises(ValueError, match="length"):
             partitioned_matvec(d, np.zeros(5))
 
     def test_roundtrip_permutation_identity(self):
         w = uniform_matrix(7, 9, seed=14)
         res = greedy_partition(w, 3, seed=1)
-        d = decompose(w, res)
+        d = decompose(w, res.assignment)
         x = np.arange(7, dtype=float)
         assert (x[d.row_perm][np.argsort(d.row_perm)] == x).all()
 
@@ -170,7 +164,7 @@ class TestBatchedInput:
             )
 
     def test_partitioned_matches_single_rows(self):
-        d = decompose(self.w, self.res)
+        d = decompose(self.w, self.res.assignment)
         batched = partitioned_matvec(d, self.x)
         assert batched.shape == (5, 11)
         for t in range(5):
@@ -184,4 +178,4 @@ class TestBatchedInput:
         with pytest.raises(ValueError, match="length"):
             masked_matvec(self.w, self.res.mask, bad)
         with pytest.raises(ValueError, match="length"):
-            partitioned_matvec(decompose(self.w, self.res), bad)
+            partitioned_matvec(decompose(self.w, self.res.assignment), bad)

@@ -1,4 +1,4 @@
-"""Differential test: the mask-free search against the mask-based original.
+"""Differential tests: the search and refinement against their originals.
 
 `reference_greedy` and `reference_multi_restart` are the earlier
 construction and restart loop, kept as they were: every row is scored
@@ -6,15 +6,21 @@ with its own `bincount`, rows are shuffled with one `next_below` draw per
 position, and every restart is scored exactly through
 `result_from_assignment`. The search in `partitioner` must give the same
 assignments and bit-equal metrics on a seeded corpus.
+
+`reference_refine_swaps` is the earlier refinement, kept as it was: a
+Python loop over every pair of rows and every pair of columns on each
+pass. `refine_swaps` must apply the same swap sequence.
 """
 
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from blockprune.core import (
     PartitionAssignment,
+    PruneResult,
     WeightMatrix,
     partition_capacities,
     result_from_assignment,
@@ -26,6 +32,7 @@ from blockprune.partitioner import (
     _top_columns,
     greedy_partition,
     multi_restart,
+    refine_swaps,
 )
 from blockprune.rng import SplitMix64, stream_element
 
@@ -106,6 +113,63 @@ def reference_multi_restart(weights, p, restarts, seed):
     return replace(best, seed=seed, restarts=restarts)
 
 
+def reference_refine_swaps(
+    weights: WeightMatrix, result: PruneResult, max_passes: int = 100
+) -> PruneResult:
+    """Polish a result by greedily swapping node pairs across partitions.
+
+    Each pass applies the single best loss-reducing swap of two rows or
+    two columns that live in different partitions; swaps preserve group
+    sizes, so feasibility is maintained. Stops when no swap improves or
+    after max_passes swaps. The returned loss never exceeds the input's.
+    """
+    p = result.assignment.p
+    if p == 1 or max_passes < 1:
+        return result
+    abs_w = np.abs(weights.data)
+    row_of = result.assignment.row_of.copy()
+    col_of = result.assignment.col_of.copy()
+
+    def one_hot(labels, n):
+        m = np.zeros((len(labels), n))
+        m[np.arange(len(labels)), labels] = 1.0
+        return m
+
+    for _ in range(max_passes):
+        # row_gain[i, k]: retained weight of row i if it lived in partition k.
+        row_gain = abs_w @ one_hot(col_of, p)
+        col_gain = abs_w.T @ one_hot(row_of, p)
+
+        best = (0.0, None)
+        for i, j in combinations(range(len(row_of)), 2):
+            a, b = row_of[i], row_of[j]
+            if a == b:
+                continue
+            g = row_gain[i, b] + row_gain[j, a] - row_gain[i, a] - row_gain[j, b]
+            if g > best[0]:
+                best = (g, ("row", i, j))
+        for i, j in combinations(range(len(col_of)), 2):
+            a, b = col_of[i], col_of[j]
+            if a == b:
+                continue
+            g = col_gain[i, b] + col_gain[j, a] - col_gain[i, a] - col_gain[j, b]
+            if g > best[0]:
+                best = (g, ("col", i, j))
+
+        if best[1] is None:
+            break
+        kind, i, j = best[1]
+        labels = row_of if kind == "row" else col_of
+        labels[i], labels[j] = labels[j], labels[i]
+
+    assignment = PartitionAssignment(p=p, row_of=row_of, col_of=col_of)
+    refined = result_from_assignment(
+        weights, assignment, seed=result.seed, restarts=result.restarts
+    )
+    # Guard against float drift in the gain bookkeeping: never get worse.
+    return refined if refined.weight_loss <= result.weight_loss else result
+
+
 SHAPES = [(5, 5), (6, 9), (9, 6), (17, 13), (40, 64), (128, 97), (512, 515)]
 KINDS = ["uniform", "gauss", "ties", "near_ties"]
 SEEDS = [0, 7, 2**64 - 1]
@@ -163,3 +227,69 @@ def test_equal_losses_keep_the_lowest_restart():
         assert_same(got, reference_multi_restart(w, p, 8, seed=3))
         first = greedy_partition(w, p, stream_element(3, 0)).assignment
         assert (got.assignment.row_of == first.row_of).all()
+
+
+REFINE_SHAPES = [(2, 3), (5, 5), (6, 9), (9, 6), (17, 13), (40, 64), (64, 64),
+                 (128, 160)]
+
+
+def balanced_start(rows, cols, p, seed):
+    """A seeded random balanced assignment: far from optimal, many swaps."""
+    rng = np.random.default_rng(seed)
+    return PartitionAssignment(p=p, row_of=rng.permutation(np.arange(rows) % p),
+                               col_of=rng.permutation(np.arange(cols) % p))
+
+
+def reference_trajectory(w, base, limit):
+    """Results of the reference after 1, 2, ... passes, to convergence.
+
+    A pass reads nothing but the assignment, so k one-pass calls in a row
+    make the same swaps as one k-pass call. The two also return the same
+    result as long as no call falls back to its input, which is asserted.
+    """
+    out, cur = [], base
+    while len(out) < limit:
+        nxt = reference_refine_swaps(w, cur, max_passes=1)
+        assert nxt is not cur  # the float-drift guard never fired
+        out.append(nxt)
+        if ((nxt.assignment.row_of == cur.assignment.row_of).all()
+                and (nxt.assignment.col_of == cur.assignment.col_of).all()):
+            break
+        cur = nxt
+    return out
+
+
+def assert_same_refinement(w, base, limit):
+    for k, want in enumerate(reference_trajectory(w, base, limit), start=1):
+        got = refine_swaps(w, base, max_passes=k)
+        assert (got.assignment.row_of == want.assignment.row_of).all(), k
+        assert (got.assignment.col_of == want.assignment.col_of).all(), k
+        assert got.weight_loss == want.weight_loss, k
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("rows,cols", REFINE_SHAPES)
+def test_refine_matches_pair_loop_reference(rows, cols, kind):
+    w = corpus_matrix(rows, cols, kind)
+    # Small layers are refined to convergence from a greedy and a random
+    # start. On larger ones the first passes pin the order in which the
+    # scan picks swaps just as well, at a fraction of the pair loop's cost.
+    small = rows * cols <= 300
+    limit = 200 if small else 10 if rows * cols <= 4096 else 6
+    for p in range(2, min(8, rows, cols) + 1):
+        assert_same_refinement(w, greedy_partition(w, p, seed=p), limit)
+        if small:
+            base = result_from_assignment(w, balanced_start(rows, cols, p, p),
+                                          seed=0, restarts=1)
+            assert_same_refinement(w, base, limit)
+
+
+def test_refine_overflowing_gains_never_win():
+    # Row sums of these magnitudes overflow to inf, so some gains are
+    # inf - inf = NaN; the pair loop's `>` never picks one.
+    w = WeightMatrix(corpus_matrix(12, 10, "ties").data * 8e307)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in (2, 3, 4):
+            base = result_from_assignment(w, balanced_start(12, 10, p, p),
+                                          seed=0, restarts=1)
+            assert_same_refinement(w, base, 50)
