@@ -32,11 +32,13 @@ from .partitioner import (
     refine_swaps,
 )
 from .perfmodel import (
+    Calibration,
     CalibrationError,
     Job,
     SimConfig,
     SimReport,
     calibrate,
+    per_copy_speedup,
     sa_matmul_cycles,
     scaling_speedup,
     simulate,
@@ -44,6 +46,7 @@ from .perfmodel import (
 
 __all__ = [
     "BlockDecomposition",
+    "Calibration",
     "CalibrationError",
     "Job",
     "LinkMask",
@@ -67,6 +70,7 @@ __all__ = [
     "multi_restart",
     "partition_capacities",
     "partitioned_matvec",
+    "per_copy_speedup",
     "refine_swaps",
     "retained_abs_weight",
     "sa_matmul_cycles",

@@ -193,7 +193,7 @@ def cmd_simulate(args) -> int:
             perfmodel.ensure_capacity(config, k),
             perfmodel.replicated_workload(args.rows, args.cols, k),
         )
-        speedup = k * base.makespan_cycles / multi.makespan_cycles
+        speedup = perfmodel.per_copy_speedup(k, base, multi)
         payload["copies"] = k
         payload["run"] = multi.to_dict()
         payload["speedup"] = speedup
@@ -230,19 +230,14 @@ def cmd_calibrate(args) -> int:
     config = _load_config(args.config)
     targets = _parse_targets(args.targets)
     try:
-        fitted = perfmodel.calibrate(
+        fit = perfmodel.calibrate(
             config, targets, rows=args.rows, cols=args.cols
         )
-        converged = True
-        note = None
+        fitted, achieved, note = fit.config, fit.achieved, None
     except CalibrationError as e:
-        fitted = e.best_config
-        converged = False
-        note = str(e)
-    achieved = {
-        str(k): perfmodel.scaling_speedup(fitted, args.rows, args.cols, k)
-        for k, _ in targets
-    }
+        fitted, achieved, note = e.best_config, e.achieved, str(e)
+    converged = note is None
+    achieved = {str(k): v for k, v in achieved.items()}
     payload = fitted.to_dict()
     payload["calibration"] = {
         "targets": {str(k): v for k, v in targets},

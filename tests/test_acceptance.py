@@ -183,7 +183,7 @@ def test_criterion_6_partitioned_speedup_direction(tmp_path):
     )
 
     sw = Stopwatch(30.0)
-    fitted = calibrate(SimConfig(), [(2, 1.8), (3, 2.5)])
+    fitted = calibrate(SimConfig(), [(2, 1.8), (3, 2.5)]).config
 
     def partition_speedup(cfg):
         base = simulate(cfg, baseline_workload(4096, 4096))

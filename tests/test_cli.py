@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -228,6 +229,17 @@ class TestSimulate:
                    "--out", report, "--quiet") == 0
         d = read_json(report)
         assert 1.0 < d["speedup"] < 2.0
+
+    def test_20000_copies_within_ten_seconds(self, tmp_path):
+        # About 0.3 s with the sorted request list; scanning every
+        # pending request per grant ran past 20 s.
+        report = tmp_path / "s.json"
+        start = time.perf_counter()
+        assert run("simulate", "--mode", "scaling", "--copies", 20000,
+                   "--out", report, "--quiet") == 0
+        elapsed = time.perf_counter() - start
+        assert 0.0 < read_json(report)["speedup"] < 20000
+        assert elapsed < 10.0, f"20000 copies took {elapsed:.2f} s"
 
     @pytest.mark.parametrize("copies", [0, -1])
     def test_no_copies_exits_2(self, capsys, copies):

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+from blockprune import perfmodel
 from blockprune.perfmodel import (
     CalibrationError,
     Job,
@@ -121,7 +122,7 @@ class TestSimulate:
 
 class TestPartitionSpeedup:
     def test_p3_beats_p_but_not_p_squared(self):
-        cfg = calibrate(SimConfig(), [(2, 1.8), (3, 2.5)])
+        cfg = calibrate(SimConfig(), [(2, 1.8), (3, 2.5)]).config
         base = simulate(cfg, baseline_workload(4096, 4096))
         run = simulate(
             ensure_capacity(cfg, 3), partitioned_workload(4096, 4096, 3)
@@ -151,11 +152,11 @@ class TestCalibrate:
             bus_bandwidth_bytes_per_cycle=1e9,
             dma_fixed_overhead_cycles=0,
         )
-        fitted = calibrate(cfg, [(2, 2.0), (3, 3.0)], tolerance=0.03)
+        fitted = calibrate(cfg, [(2, 2.0), (3, 3.0)], tolerance=0.03).config
         assert fitted.contention_overhead == pytest.approx(0.0, abs=1e-3)
 
     def test_measured_targets_hit_within_tolerance(self):
-        fitted = calibrate(SimConfig(), [(2, 1.8), (3, 2.5)])
+        fitted = calibrate(SimConfig(), [(2, 1.8), (3, 2.5)]).config
         assert abs(scaling_speedup(fitted, 4096, 4096, 2) - 1.8) <= 0.05
         assert abs(scaling_speedup(fitted, 4096, 4096, 3) - 2.5) <= 0.05
 
@@ -166,7 +167,7 @@ class TestCalibrate:
         targets = [
             (k, scaling_speedup(truth, 4096, 4096, k)) for k in (2, 3)
         ]
-        fitted = calibrate(SimConfig(), targets)
+        fitted = calibrate(SimConfig(), targets).config
         assert fitted.contention_overhead == pytest.approx(0.3, rel=0.01)
 
     def test_unreachable_targets_raise_with_best_effort(self):
@@ -176,6 +177,20 @@ class TestCalibrate:
         assert err.max_rel_error > 0.03
         assert isinstance(err.best_config, SimConfig)
         assert 2 in err.achieved
+
+    def test_simulates_each_distinct_candidate_once(self, monkeypatch):
+        # 688 distinct candidates x 2 targets, plus one baseline per
+        # distinct fixed overhead. Re-simulating every evaluation made
+        # 4,984 calls; the count is deterministic.
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return simulate(*args)
+
+        monkeypatch.setattr(perfmodel, "simulate", counting)
+        calibrate(SimConfig(), [(2, 1.8), (3, 2.5)])
+        assert 0 < len(calls) <= 1450
 
     def test_rejects_empty_targets(self):
         with pytest.raises(ValueError, match="target"):

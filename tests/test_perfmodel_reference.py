@@ -1,0 +1,293 @@
+"""Differential tests: the bus simulator and calibration against their originals.
+
+`reference_simulate` is the earlier event loop, kept as it was: every
+grant scans the whole pending list for the earliest request, the
+eligible set and the waiting count, so one run costs O(k^2) in the job
+count k. `reference_calibrate` is the earlier fit, kept as it was: every
+objective evaluation simulates the baseline and every target again, also
+for candidates it has already evaluated. `simulate` and `calibrate` in
+`perfmodel` must give `==` reports and bit-equal fits on seeded corpora.
+"""
+
+import math
+import random
+from dataclasses import replace
+
+import pytest
+
+from blockprune.perfmodel import (
+    CalibrationError,
+    Job,
+    SimConfig,
+    SimReport,
+    baseline_workload,
+    calibrate,
+    ensure_capacity,
+    replicated_workload,
+    sa_matmul_cycles,
+    simulate,
+)
+
+
+def reference_simulate(config: SimConfig, workload: list) -> SimReport:
+    config.validate()
+    queues: list = [[] for _ in range(config.num_accelerators)]
+    for job in workload:
+        if not 0 <= job.accelerator < config.num_accelerators:
+            raise ValueError(
+                f"job accelerator {job.accelerator} out of range "
+                f"[0, {config.num_accelerators})"
+            )
+        queues[job.accelerator].append(job)
+
+    # (request_time, accelerator, job); one outstanding request per
+    # accelerator because jobs on it are chained.
+    pending = [
+        (0.0, a, q[0]) for a, q in enumerate(queues) if q
+    ]
+    next_index = [1 if q else 0 for q in queues]
+
+    busy = [0.0] * config.num_accelerators
+    bus_busy = 0.0
+    bus_free = 0.0
+    makespan = 0.0
+
+    while pending:
+        earliest = min(rt for rt, _, _ in pending)
+        grant = max(bus_free, earliest)
+        eligible = [e for e in pending if e[0] <= grant]
+        rt, accel, job = min(eligible, key=lambda e: (e[0], e[1]))
+        queue_len = sum(1 for e in pending if e[0] <= grant) - 1
+
+        service = config.dma_fixed_overhead_cycles + (
+            job.transfer_bytes(config.bytes_per_element)
+            / config.bus_bandwidth_bytes_per_cycle
+        ) * (1.0 + config.contention_overhead * queue_len)
+        transfer_done = grant + service
+        compute = sa_matmul_cycles(job.m, job.k, job.n, config.sa_dim)
+        compute_done = transfer_done + compute
+
+        bus_busy += service
+        bus_free = transfer_done
+        busy[accel] += compute
+        makespan = max(makespan, compute_done)
+
+        pending.remove((rt, accel, job))
+        if next_index[accel] < len(queues[accel]):
+            pending.append((compute_done, accel, queues[accel][next_index[accel]]))
+            next_index[accel] += 1
+
+    total_macs = sum(job.macs() for job in workload)
+    total_bytes = sum(job.transfer_bytes(config.bytes_per_element) for job in workload)
+    active = sum(1 for q in queues if q)
+    seconds = makespan / config.accel_clock_hz
+    e_mac = total_macs * config.e_mac_pj
+    e_dram = total_bytes * config.e_dram_byte_pj
+    # mW * s = mJ = 1e9 pJ
+    e_static = config.p_static_mw * 1e9 * seconds * active
+
+    return SimReport(
+        accel_busy_cycles=tuple(busy),
+        bus_busy_cycles=bus_busy,
+        makespan_cycles=makespan,
+        energy_mac_pj=e_mac,
+        energy_dram_pj=e_dram,
+        energy_static_pj=e_static,
+        energy_total_pj=e_mac + e_dram + e_static,
+    )
+
+
+def reference_scaling_speedup(config: SimConfig, rows: int, cols: int, copies: int) -> float:
+    base = reference_simulate(ensure_capacity(config, 1), baseline_workload(rows, cols))
+    multi = reference_simulate(
+        ensure_capacity(config, copies), replicated_workload(rows, cols, copies)
+    )
+    return copies * base.makespan_cycles / multi.makespan_cycles
+
+
+def reference_scaling_errors(config, rows, cols, targets):
+    achieved = {}
+    worst = 0.0
+    for copies, target in targets:
+        got = reference_scaling_speedup(config, rows, cols, copies)
+        achieved[copies] = got
+        worst = max(worst, abs(got - target) / target)
+    return achieved, worst
+
+
+def reference_calibrate(
+    config: SimConfig,
+    targets: list,
+    rows: int = 4096,
+    cols: int = 4096,
+    tolerance: float = 0.03,
+) -> SimConfig:
+    if not targets:
+        raise ValueError("need at least one calibration target")
+    for copies, target in targets:
+        if copies < 1 or not 0 < target < math.inf:
+            raise ValueError(f"invalid target ({copies}, {target})")
+    config.validate()
+
+    def objective(gamma: float, fixed: float):
+        cand = replace(
+            config,
+            contention_overhead=gamma,
+            dma_fixed_overhead_cycles=int(round(fixed)),
+        )
+        return reference_scaling_errors(cand, rows, cols, targets)
+
+    best = None  # (err, gamma, fixed, achieved)
+    gammas = [i * 0.1 for i in range(41)]  # 0 .. 4
+    fixeds = [0.0] + [10.0 ** (e / 2.0) for e in range(0, 13)]  # 1 .. 1e6
+    for g in gammas:
+        for f in fixeds:
+            achieved, err = objective(g, f)
+            if best is None or err < best[0]:
+                best = (err, g, f, achieved)
+
+    # Pattern search around the grid optimum; the span halves only on
+    # rounds with no improvement so long shallow valleys can be tracked.
+    span_g, span_f = 0.1, max(best[2] / 2.0, 64.0)
+    for _ in range(240):
+        err0, g0, f0, _ = best
+        for dg in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            for df in (-1.0, -0.5, 0.0, 0.5, 1.0):
+                if dg == 0.0 and df == 0.0:
+                    continue
+                g = max(0.0, g0 + dg * span_g)
+                f = max(0.0, f0 + df * span_f)
+                achieved, err = objective(g, f)
+                if err < best[0]:
+                    best = (err, g, f, achieved)
+        if best[0] >= err0:
+            span_g *= 0.5
+            span_f *= 0.5
+        if span_g < 1e-7 and span_f < 0.25:
+            break
+
+    err, g, f, achieved = best
+    fitted = replace(
+        config,
+        contention_overhead=g,
+        dma_fixed_overhead_cycles=int(round(f)),
+    )
+    if err > tolerance:
+        raise CalibrationError(
+            f"targets not reachable within {tolerance:.0%} "
+            f"(best max relative error {err:.4f})",
+            best_config=fitted,
+            achieved=achieved,
+            max_rel_error=err,
+        )
+    return fitted
+
+
+# A few shapes reused across jobs, so identical transfers and compute
+# times put many requests at the same instant and exercise the
+# (request time, accelerator) tie order.
+SHAPES = [(1, 64, 64), (1, 512, 512), (1, 4096, 4096), (2, 300, 700),
+          (4, 33, 1000), (1, 1, 1)]
+
+
+def random_workload(rng, accelerators, jobs):
+    workload = []
+    for _ in range(jobs):
+        if rng.random() < 0.5:
+            m, k, n = rng.choice(SHAPES)
+        else:
+            m, k, n = (rng.randint(1, 4), rng.randint(1, 2000),
+                       rng.randint(1, 2000))
+        workload.append(Job(rng.randrange(accelerators), m, k, n))
+    return workload
+
+
+def simulate_corpus():
+    rng = random.Random(20260501)
+    cases = []
+    for gamma in (0.0, 0.3, 1.7):
+        for fixed in (0, 64, 5000):
+            for accelerators in range(1, 9):
+                cfg = replace(SimConfig(), num_accelerators=accelerators,
+                              contention_overhead=gamma,
+                              dma_fixed_overhead_cycles=fixed)
+                for jobs in (0, 1, 2, 3, rng.randint(4, 12),
+                             rng.randint(13, 25), 25):
+                    cases.append((cfg, random_workload(rng, accelerators, jobs)))
+                # Chained jobs: several on one accelerator, beside
+                # replicated copies that all request at t = 0.
+                chain = [Job(0, *rng.choice(SHAPES))
+                         for _ in range(rng.randint(2, 6))]
+                copies = replicated_workload(512, 512, accelerators)
+                cases.append((cfg, chain + copies))
+                cases.append((cfg, copies + chain))
+    return cases
+
+
+def test_simulate_matches_reference_event_loop():
+    cases = simulate_corpus()
+    assert len(cases) == 3 * 3 * 8 * 9
+    waited = 0
+    for cfg, workload in cases:
+        want = reference_simulate(cfg, workload)
+        assert simulate(cfg, workload) == want, (cfg, workload)
+        waited += want.bus_busy_cycles > sum(
+            cfg.dma_fixed_overhead_cycles
+            + job.transfer_bytes(cfg.bytes_per_element)
+            / cfg.bus_bandwidth_bytes_per_cycle for job in workload)
+    # Contention actually shaped a large share of the corpus.
+    assert waited > len(cases) // 4
+
+
+def test_simulate_matches_reference_at_scaling_sizes():
+    cfg = SimConfig()
+    for copies in (1, 2, 3, 4, 7, 64, 300):
+        big = ensure_capacity(cfg, copies)
+        jobs = replicated_workload(4096, 4096, copies)
+        assert simulate(big, jobs) == reference_simulate(big, jobs)
+
+
+def reference_fit(config, targets, rows, cols):
+    """(config, achieved, max_rel_error, converged) the way the earlier
+    code produced them: calibrate, then simulate the achieved speedups
+    again from the fitted config."""
+    try:
+        fitted = reference_calibrate(config, targets, rows=rows, cols=cols)
+    except CalibrationError as e:
+        return e.best_config, e.achieved, e.max_rel_error, False
+    achieved, worst = reference_scaling_errors(fitted, rows, cols, targets)
+    return fitted, achieved, worst, True
+
+
+IDEAL_BUS = replace(SimConfig(), bus_bandwidth_bytes_per_cycle=1e9,
+                    dma_fixed_overhead_cycles=0)
+
+CALIBRATION_CASES = [
+    ("measured", SimConfig(), [(2, 1.8), (3, 2.5)], 4096, 4096),
+    ("unreachable", SimConfig(), [(2, 2.5)], 4096, 4096),
+    ("ideal-bus", IDEAL_BUS, [(2, 2.0), (3, 3.0)], 4096, 4096),
+    ("one-copy", SimConfig(), [(1, 1.0), (2, 1.8)], 4096, 4096),
+    ("above-capacity", SimConfig(), [(6, 4.0)], 4096, 4096),
+    ("non-square", SimConfig(), [(2, 1.7), (3, 2.2)], 1000, 3000),
+]
+
+
+@pytest.mark.parametrize("name,config,targets,rows,cols", CALIBRATION_CASES,
+                         ids=[c[0] for c in CALIBRATION_CASES])
+def test_calibrate_matches_reference(name, config, targets, rows, cols):
+    want_config, want_achieved, want_err, want_converged = reference_fit(
+        config, targets, rows, cols)
+    try:
+        fit = calibrate(config, targets, rows=rows, cols=cols)
+        got = (fit.config, fit.achieved, fit.max_rel_error, True)
+    except CalibrationError as e:
+        got = (e.best_config, e.achieved, e.max_rel_error, False)
+    assert got == (want_config, want_achieved, want_err, want_converged)
+    # Bit-equal, not merely equal: compare the float representations.
+    assert [x.hex() for x in got[1].values()] == [
+        x.hex() for x in want_achieved.values()]
+    assert got[2].hex() == want_err.hex()
+    assert got[0].contention_overhead.hex() == (
+        want_config.contention_overhead.hex())
+    if name == "unreachable":
+        assert not want_converged
