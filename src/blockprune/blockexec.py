@@ -49,7 +49,13 @@ def decompose(
     check = validate_assignment(assignment, weights.rows, weights.cols)
     if not check.ok:
         raise ValueError(f"infeasible assignment: {check.first_violation}")
+    return _split_blocks(weights, assignment)
 
+
+def _split_blocks(
+    weights: WeightMatrix, assignment: PartitionAssignment
+) -> BlockDecomposition:
+    """`decompose` for an assignment already checked against the weights."""
     row_perm = np.lexsort((np.arange(weights.rows), assignment.row_of))
     col_perm = np.lexsort((np.arange(weights.cols), assignment.col_of))
     blocks = []

@@ -9,6 +9,7 @@ into the output for audit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -33,6 +34,11 @@ EXIT_BUDGET = 3
 
 # Trials per batched product in verify; bounds its memory for any --trials.
 VERIFY_CHUNK = 128
+
+# Most accelerators calibrate accepts, summed over its targets. Every
+# candidate of the fit simulates each target's copies, so the cost grows
+# with the sum; at this cap the slowest target lists tried take about 5 s.
+MAX_CALIBRATE_COPIES = 512
 
 
 def _emit(args, payload: dict, human: str):
@@ -121,7 +127,8 @@ def cmd_verify(args) -> int:
         raise ValueError("tolerance must be positive")
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
-    decomp = blockexec.decompose(weights, assignment)
+    # read_assignment matched the dimensions and balance is checked above.
+    decomp = blockexec._split_blocks(weights, assignment)
     mask = mask_of(assignment)
     rows = weights.rows
     floor = 1e-9 / args.tolerance  # absolute floor on the comparison scale
@@ -223,6 +230,12 @@ def _parse_targets(text: str) -> list:
             ) from e
     if not targets:
         raise ValueError("no calibration targets given")
+    total = sum(k for k, _ in targets)
+    if total > MAX_CALIBRATE_COPIES:
+        raise ValueError(
+            f"targets ask for {total} accelerators in total, more than "
+            f"the limit of {MAX_CALIBRATE_COPIES}"
+        )
     return targets
 
 
@@ -291,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="uniform, gauss, or blockdiag:P (default uniform)")
     p.add_argument("--out", dest="out_path", required=True,
                    help="output path (.csv for text, anything else binary)")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("prune", parents=[common],
                        help="search for a minimum-loss balanced partition")
@@ -303,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-passes", type=int, default=100,
                    help="swap limit for --refine (default 100)")
     p.add_argument("--out", help="write the result JSON here")
-    p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("oracle", parents=[common],
                        help="exact optimum by enumeration (small instances)")
@@ -313,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="candidate enumeration limit (default 1e7)")
     p.add_argument("--result", help="result JSON to compute the gap against")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", parents=[common],
                        help="check a result: balance bounds and block equivalence")
@@ -322,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--tolerance", type=float, default=1e-5)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", parents=[common],
                        help="estimate speedup/energy on shared-bus accelerators")
@@ -336,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--copies", type=int, default=2,
                    help="replicated job count for scaling mode (default 2)")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("calibrate", parents=[common],
                        help="fit bus contention parameters to speedup targets")
@@ -346,16 +354,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, default=4096)
     p.add_argument("--cols", type=int, default=4096)
     p.add_argument("--out", help="write the fitted config JSON here")
-    p.set_defaults(func=cmd_calibrate)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Look the command up at call time, so a rebound cmd_* is the one run.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except OracleBudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET

@@ -15,10 +15,20 @@ so the first-founded partition is the largest on both sides. All ties
 break toward the lowest index (column, partition, or restart), making
 every run a pure function of (weights, p, seed).
 
+All restarts are built together, in lockstep: each step visits the next
+row of every restart still founding, and the state (labels, row counts,
+founded count) is held in arrays with one row per restart. A founding
+step's temporaries are the size of the labels; the scores of the frozen
+phase below are built for a block of restarts at a time, bounded by a
+constant number of elements.
+
 Founding usually ends within the first few dozen rows visited. From then
 on the column sets are frozen, so the scores of all remaining rows come
 from one pass over the columns, added in the same order as scoring each
-row alone, and so bit-identical to it.
+row alone, and so bit-identical to it. Until some partition fills, every
+remaining row joins the lowest-index best open partition. So the rows
+left are labelled in at most p rounds, each ending at a fill event: the
+row that brings a partition to its row capacity and closes it.
 
 A multi-restart wrapper keeps the best of many independent constructions.
 Each construction tracks its retained weight (the sum of its winning
@@ -48,7 +58,7 @@ from .core import (
     result_from_assignment,
     weight_loss,
 )
-from .rng import SplitMix64, stream_element
+from .rng import MASK64, batch_permutation, stream_array
 
 DEFAULT_RESTARTS = 32
 DEFAULT_ORACLE_BUDGET = 10_000_000
@@ -79,108 +89,168 @@ def _check_p(rows: int, cols: int, p: int):
         )
 
 
-def _top_columns(abs_row: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest |w| among candidates; ties to lowest index."""
-    vals = abs_row[candidates]
-    order = np.lexsort((candidates, -vals))
-    return candidates[order[:k]]
-
-
-def _best_open(scores: list, row_counts: list, row_caps: tuple):
-    """(partition, score) of the best-scoring partition with a free row.
-
-    Strict `>` from a score of -1 keeps ties on the lowest index; with no
-    free row the result is (-1, -1.0).
-    """
-    best_k, best_score = -1, -1.0
-    for k, score in enumerate(scores):
-        if row_counts[k] < row_caps[k] and score > best_score:
-            best_k, best_score = k, score
-    return best_k, best_score
-
-
 def _abs_weights(weights: WeightMatrix) -> np.ndarray:
     """|W| in column-major order, so every column is one contiguous run."""
     return np.abs(weights.data.T, order="C").T
 
 
-def _greedy_assignment(abs_w: np.ndarray, p: int, seed: int) -> tuple:
-    """One greedy construction: (assignment, tracked retained weight).
+# Restarts are built in blocks whose temporaries hold at most this many
+# elements (512 KB of floats): (restarts, cols) while founding, and
+# (restarts, p, rows) scores after it.
+_BLOCK_ELEMENTS = 1 << 16
 
-    The tracked weight is the sum of the winning scores, so it equals the
-    retained |W| up to summation-order rounding. Rows visited after the
-    last founding are scored in one pass over the columns of abs_w, in
-    index order: the order `np.bincount` adds a row's magnitudes in, so
-    every score is bit-identical to scoring the row on its own.
+
+# From this many rows on, the column pass adds each column to each
+# restart's score row in place; below it, one indexed add per column for
+# the whole block is cheaper than a Python add per restart.
+_PLAIN_ADD_ROWS = 512
+
+
+def _construct(abs_w: np.ndarray, p: int, seeds: np.ndarray) -> tuple:
+    """One greedy construction per uint64 seed, run in lockstep.
+
+    Returns (row_of, col_of, tracked), shaped (R, rows), (R, cols) and
+    (R,). tracked[r] is the sum of restart r's winning scores, in visit
+    order: its retained |W| up to summation-order rounding.
     """
     rows, cols = abs_w.shape
-    row_caps = partition_capacities(rows, p)
-    col_caps = partition_capacities(cols, p)
+    orders = batch_permutation(seeds, rows)
+    row_of = np.full((len(seeds), rows), -1, dtype=np.int64)
+    col_of = np.full((len(seeds), cols), -1, dtype=np.int64)
+    counts = np.zeros((len(seeds), p), dtype=np.int64)
+    tracked = np.zeros(len(seeds))
+    # Each block is a slice, so the phases fill these arrays in place.
+    step = max(1, _BLOCK_ELEMENTS // cols)
+    for b in (slice(lo, lo + step) for lo in range(0, len(seeds), step)):
+        _found_partitions(abs_w, p, orders[b], row_of[b], col_of[b], counts[b], tracked[b])
+    step = max(1, _BLOCK_ELEMENTS // (p * rows))
+    for b in (slice(lo, lo + step) for lo in range(0, len(seeds), step)):
+        _assign_rest(abs_w, p, orders[b], row_of[b], col_of[b], counts[b], tracked[b])
+    return row_of, col_of, tracked
 
-    order = SplitMix64(seed).permutation(rows)
-    row_of = np.full(rows, -1, dtype=np.int64)
-    col_of = np.full(cols, -1, dtype=np.int64)
-    row_counts = [0] * p
-    founded = 0
-    retained = 0.0
 
-    idx = 0
-    while founded < p:
-        r = int(order[idx])
-        abs_row = abs_w[r]
-        must_found = rows - idx == p - founded
+def _found_partitions(abs_w, p, order, row_of, col_of, counts, retained):
+    """Visit rows one step at a time until every restart has founded p.
 
-        best_k, best_score = -1, -1.0
-        if founded and not must_found:
-            assigned = col_of >= 0
-            scores = np.bincount(
-                col_of[assigned], weights=abs_row[assigned], minlength=founded
-            )
-            best_k, best_score = _best_open(scores.tolist(), row_counts, row_caps)
+    Each step takes the next row of every restart still founding. Every
+    founded partition with a free row scores the row's sum over its
+    columns; founding the next partition scores the sum of the row's
+    largest free magnitudes. The best score wins and founding loses ties.
+    Labels, row counts and retained weight are filled in place.
+    """
+    count, rows = order.shape
+    row_caps = np.array(partition_capacities(rows, p))
+    col_caps = partition_capacities(abs_w.shape[1], p)
+    founded = np.zeros(count, dtype=np.int64)
 
-        free_cols = np.flatnonzero(col_of < 0)
-        found_here = must_found
-        if not found_here:
-            cap = col_caps[founded]
-            top = np.partition(abs_row[free_cols], len(free_cols) - cap)[-cap:]
-            # Founding loses ties to any founded partition.
-            found_here = float(top.sum()) > best_score
+    live = np.arange(count)
+    t = 0
+    while len(live):
+        r = order[live, t]
+        vals = abs_w[r]
+        f = founded[live]
+        labels = col_of[live]
+        # One bincount over all restarts adds each row over each of its
+        # partitions' columns in index order, as a bincount per row does.
+        assigned = labels >= 0
+        key = (np.arange(len(live))[:, None] * p + labels)[assigned]
+        scores = np.bincount(key, weights=vals[assigned], minlength=len(live) * p)
+        # Once only p - f rows are left, every founded partition is full
+        # (each unfounded one still needs a row), so founding then wins.
+        open_ = (np.arange(p) < f[:, None]) & (counts[live] < row_caps)
+        scores = np.where(open_, scores.reshape(len(live), p), -1.0)
+        lab = scores.argmax(axis=1)  # ties to the lowest partition
+        gain = scores[np.arange(len(live)), lab]
 
-        if found_here:
-            chosen = _top_columns(abs_row, free_cols, col_caps[founded])
-            col_of[chosen] = founded
-            row_of[r] = founded
-            row_counts[founded] += 1
-            retained += float(abs_row[chosen].sum())
-            founded += 1
+        for fv in np.flatnonzero(np.bincount(f)):
+            g = np.flatnonzero(f == fv)
+            cap = col_caps[fv]
+            free = np.nonzero(labels[g] < 0)[1].reshape(len(g), -1)
+            free_vals = vals[g[:, None], free]
+            top = np.partition(free_vals, free.shape[1] - cap, axis=1)[:, -cap:]
+            # Founding loses ties; with no open partition gain is -1.
+            won = top.sum(axis=1) > gain[g]
+            g = g[won]
+            # Largest |w| first, ties to the lowest column.
+            pick = np.argsort(-free_vals[won], axis=1, kind="stable")[:, :cap]
+            chosen = np.take_along_axis(free[won], pick, axis=1)
+            col_of[live[g, None], chosen] = fv
+            lab[g] = fv
+            gain[g] = np.take_along_axis(vals[g], chosen, axis=1).sum(axis=1)
+            founded[live[g]] += 1
+
+        row_of[live, r] = lab
+        counts[live, lab] += 1
+        retained[live] += gain
+        live = live[founded[live] < p]
+        t += 1
+
+
+def _assign_rest(abs_w, p, order, row_of, col_of, counts, retained):
+    """Give every row left after founding its best open partition.
+
+    Column sets are frozen now, so one pass over the columns scores every
+    row against every partition, adding each row's magnitudes in column
+    order, bit-equal to scoring it alone. A row's label is then the
+    lowest-index argmax over the partitions still open, and the open set
+    changes only when a partition fills. So each round commits the rows
+    up to the first that fills a partition, closes it, and relabels only
+    the rows that had chosen it: at most p rounds. Fills row_of in place
+    and turns retained into the tracked weight.
+    """
+    count, rows = order.shape
+    row_caps = np.array(partition_capacities(rows, p))
+    score = np.zeros((count * p, rows))
+    dest = (np.arange(count)[:, None] * p + col_of).T  # score row of column j
+    for col, to in zip(abs_w.T, dest):
+        if rows < _PLAIN_ADD_ROWS:
+            score[to] += col  # one gather-add-scatter for the whole block
         else:
-            row_of[r] = best_k
-            row_counts[best_k] += 1
-            retained += best_score
-        idx += 1
+            for k in to.tolist():
+                score[k] += col
+    score = score.reshape(count, p, rows)
+    score = np.take_along_axis(score, order[:, None, :], axis=2)  # visit order
 
-    # Column sets are frozen: score every row against every partition.
-    rest = order[idx:]
-    if len(rest):
-        score = np.zeros((p, rows))
-        abs_t = abs_w.T
-        for j, k in enumerate(col_of.tolist()):
-            score[k] += abs_t[j]
-        labels = []
-        for row_scores in score[:, rest].T.tolist():
-            best_k, best_score = _best_open(row_scores, row_counts, row_caps)
-            labels.append(best_k)
-            row_counts[best_k] += 1
-            retained += best_score
-        row_of[rest] = labels
+    blk = np.arange(count)[:, None]
+    pos = np.arange(rows)
+    todo = pos >= counts.sum(axis=1)[:, None]  # founding placed the rest
+    is_open = counts < row_caps
+    lab = np.where(is_open[:, :, None], score, -1.0).argmax(axis=1)
+    picks = np.zeros((count, rows))
+    while todo.any():
+        # The rows left of each partition in visit order, and so the row
+        # at which each partition would fill; the first of those closes.
+        key = np.where(todo, lab, p)
+        by_label = np.argsort(key, axis=1, kind="stable")
+        per_label = np.bincount((blk * (p + 1) + key).ravel(), minlength=count * (p + 1))
+        per_label = per_label.reshape(count, p + 1)[:, :p]
+        need = row_caps - counts
+        nth = np.cumsum(per_label, axis=1) - per_label + need - 1
+        fill_at = np.take_along_axis(by_label, np.minimum(nth, rows - 1), axis=1)
+        fill_at = np.where(is_open & (per_label >= need), fill_at, rows)
+        last = fill_at.min(axis=1)
+        b, t = np.nonzero(todo & (pos <= last[:, None]))
+        k = lab[b, t]
+        row_of[b, order[b, t]] = k
+        picks[b, t] = score[b, k, t]
+        counts += np.bincount(b * p + k, minlength=count * p).reshape(count, p)
+        todo[b, t] = False
+        is_open = counts < row_caps
+        # A closed partition leaves every other row's argmax as it was.
+        b, t = np.nonzero(todo & ~is_open[blk, lab])
+        lab[b, t] = np.where(is_open[b], score[b, :, t], -1.0).argmax(axis=1)
 
-    return PartitionAssignment(p=p, row_of=row_of, col_of=col_of), retained
+    # Zeros before each restart's first free row leave the sum exact, and
+    # cumsum adds in visit order, as the row-by-row sum did.
+    retained[:] = np.cumsum(np.hstack([retained[:, None], picks]), axis=1)[:, -1]
 
 
 def greedy_partition(weights: WeightMatrix, p: int, seed: int) -> PruneResult:
     """One full greedy construction from a seeded random row order."""
     _check_p(weights.rows, weights.cols, p)
-    assignment, _ = _greedy_assignment(_abs_weights(weights), p, seed)
+    seeds = np.array([seed & MASK64], dtype=np.uint64)
+    row_of, col_of, _ = _construct(_abs_weights(weights), p, seeds)
+    assignment = PartitionAssignment(p=p, row_of=row_of[0], col_of=col_of[0])
     return result_from_assignment(weights, assignment, seed=seed, restarts=1)
 
 
@@ -204,14 +274,13 @@ def multi_restart(
     _check_p(weights.rows, weights.cols, p)
     abs_w = _abs_weights(weights)
     margin = 1e-6 * max(float(abs_w.sum()), 1.0)
-    runs = [
-        _greedy_assignment(abs_w, p, stream_element(seed, r))
-        for r in range(restarts)
-    ]
+    row_of, col_of, tracked = _construct(abs_w, p, stream_array(seed, restarts))
     # Free |W| before the exact pass allocates its own n x n temporaries.
     del abs_w
-    best = max(tracked for _, tracked in runs)
-    near = [a for a, tracked in runs if tracked >= best - margin]
+    near = [
+        PartitionAssignment(p=p, row_of=row_of[r], col_of=col_of[r])
+        for r in np.flatnonzero(tracked >= tracked.max() - margin)
+    ]
     winner = near[0]
     if len(near) > 1:
         winner = min(near, key=lambda a: weight_loss(weights, mask_of(a)))

@@ -47,22 +47,24 @@ class SimConfig:
     p_static_mw: float = 50.0
 
     def validate(self):
+        # Written as `not lo < x < inf`, each check also rejects NaN.
         if self.num_accelerators < 1:
             raise ValueError("need at least one accelerator")
-        if self.accel_clock_hz <= 0:
-            raise ValueError("accelerator clock must be positive")
+        if not 0 < self.accel_clock_hz < math.inf:
+            raise ValueError("accelerator clock must be positive and finite")
         if self.sa_dim < 1:
             raise ValueError("systolic array dimension must be >= 1")
         if self.bytes_per_element < 1:
             raise ValueError("bytes per element must be >= 1")
-        if self.bus_bandwidth_bytes_per_cycle <= 0:
-            raise ValueError("bus bandwidth must be positive")
+        if not 0 < self.bus_bandwidth_bytes_per_cycle < math.inf:
+            raise ValueError("bus bandwidth must be positive and finite")
         if self.dma_fixed_overhead_cycles < 0:
             raise ValueError("DMA fixed overhead cannot be negative")
-        if self.contention_overhead < 0:
-            raise ValueError("contention overhead cannot be negative")
-        if min(self.e_mac_pj, self.e_dram_byte_pj, self.p_static_mw) <= 0:
-            raise ValueError("energy constants must be positive")
+        if not 0 <= self.contention_overhead < math.inf:
+            raise ValueError("contention overhead must be finite and non-negative")
+        if not (0 < self.e_mac_pj < math.inf and 0 < self.e_dram_byte_pj < math.inf
+                and 0 < self.p_static_mw < math.inf):
+            raise ValueError("energy constants must be positive and finite")
 
     def to_dict(self) -> dict:
         return asdict(self)

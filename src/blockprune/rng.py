@@ -31,13 +31,44 @@ def stream_element(seed: int, r: int) -> int:
     return mix64((seed + (r + 1) * GOLDEN) & MASK64)
 
 
-def stream_array(seed: int, n: int, offset: int = 0) -> np.ndarray:
-    """Elements offset..offset+n-1 of the seed's stream, as uint64."""
+def stream_array(seed, n: int, offset: int = 0) -> np.ndarray:
+    """Elements offset..offset+n-1 of the seed's stream, as uint64.
+
+    `seed` is an int, or a uint64 array of seeds; an array gives each
+    seed's elements along a new last axis.
+    """
     idx = np.arange(offset + 1, offset + n + 1, dtype=np.uint64)
-    z = (np.uint64(seed & MASK64) + idx * np.uint64(GOLDEN))
+    if isinstance(seed, np.ndarray):
+        base = seed.astype(np.uint64)[..., None]
+    else:
+        base = np.uint64(seed & MASK64)
+    z = base + idx * np.uint64(GOLDEN)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
+
+
+def batch_permutation(seeds: np.ndarray, n: int) -> np.ndarray:
+    """Fisher-Yates shuffles of range(n), one row per uint64 seed.
+
+    Row r is `SplitMix64(seeds[r]).permutation(n)`: position i = n-1 .. 1
+    swaps with the next draw of seed r's stream reduced mod i + 1. All
+    rows take each swap together, so the Python loop runs n - 1 times
+    whatever the number of seeds.
+    """
+    count = len(seeds)
+    draws = max(n - 1, 0)
+    js = stream_array(seeds, draws) % np.arange(n, 1, -1, dtype=np.uint64)
+    perm = np.tile(np.arange(n, dtype=np.int64), (count, 1))
+    flat = perm.reshape(-1)
+    base = np.arange(count, dtype=np.int64)[:, None] * n
+    i = (np.arange(n - 1, 0, -1) + base).T
+    j = (js.astype(np.int64) + base).T
+    # Swap step k as one gather and one scatter over both ends; when
+    # i == j both writes carry the same value.
+    for src, dst in zip(np.hstack([j, i]), np.hstack([i, j])):
+        flat[dst] = flat[src]
+    return perm
 
 
 def uniform_array(seed: int, n: int, offset: int = 0) -> np.ndarray:
@@ -67,10 +98,6 @@ class SplitMix64:
         Position i = n-1 .. 1 swaps with next_below(i + 1); the n - 1
         draws are taken from the stream in one call.
         """
-        draws = max(n - 1, 0)
-        js = stream_array(self._state, draws) % np.arange(n, 1, -1, dtype=np.uint64)
-        self._state = (self._state + draws * GOLDEN) & MASK64
-        perm = list(range(n))
-        for i, j in zip(range(n - 1, 0, -1), js.tolist()):
-            perm[i], perm[j] = perm[j], perm[i]
-        return np.array(perm, dtype=np.int64)
+        perm = batch_permutation(np.array([self._state], dtype=np.uint64), n)[0]
+        self._state = (self._state + max(n - 1, 0) * GOLDEN) & MASK64
+        return perm

@@ -163,6 +163,22 @@ class TestVerify:
         assert v["valid"] is False
         assert any("bound" in s for s in v["violations"])
 
+    def test_balance_is_checked_once(self, matrix_6x8, tmp_path, monkeypatch):
+        res = tmp_path / "r.json"
+        run("prune", matrix_6x8, "-p", 2, "--out", res, "--quiet")
+        calls = []
+        real = cli.validate_assignment
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        # Rebind every name the check is reached by.
+        monkeypatch.setattr(cli, "validate_assignment", counted)
+        monkeypatch.setattr(cli.blockexec, "validate_assignment", counted)
+        assert run("verify", matrix_6x8, res, "--quiet") == 0
+        assert len(calls) == 1
+
     def test_p1_result_passes(self, matrix_6x8, tmp_path):
         res = tmp_path / "r.json"
         run("prune", matrix_6x8, "-p", 1, "--out", res, "--quiet")
@@ -282,6 +298,18 @@ class TestCalibrate:
     def test_bad_target_spec_exits_2(self):
         assert run("calibrate", "--targets", "nonsense", "--quiet") == 2
 
+    @pytest.mark.parametrize("targets", [
+        f"{cli.MAX_CALIBRATE_COPIES + 1}=2",
+        f"2=1.8,{cli.MAX_CALIBRATE_COPIES - 1}=2",
+    ])
+    def test_copies_above_the_cap_exit_2_quickly(self, targets, capsys):
+        # One more accelerator than the cap, in one target or summed over
+        # two. Uncapped, 20000=2 fitted for 106 s.
+        start = time.perf_counter()
+        assert run("calibrate", "--targets", targets) == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"limit of {cli.MAX_CALIBRATE_COPIES}" in capsys.readouterr().err
+
 
 VALID_RESULT_6X8 = {
     "rows": 6, "cols": 8, "p": 2, "seed": 0, "restarts": 1,
@@ -356,6 +384,16 @@ def test_non_finite_calibration_target_exits_2(tmp_path, capsys, targets):
     assert run("calibrate", "--targets", targets, "--out", out, "--quiet") == 2
     assert capsys.readouterr().err.startswith("error: invalid target")
     assert not out.exists()
+
+
+def test_commands_rebound_after_the_first_call_are_run(matrix_6x8, monkeypatch):
+    # The parser is built once per process; the command is looked up by
+    # name on every call, so wrappers installed later still catch it.
+    assert run("prune", matrix_6x8, "-p", 2, "--quiet") == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_prune", lambda args: seen.append(args.p) or 0)
+    assert run("prune", matrix_6x8, "-p", 2, "--quiet") == 0
+    assert seen == [2]
 
 
 class TestDeterminism:

@@ -175,6 +175,18 @@ class TestMultiRestart:
         assert (a.assignment.row_of == b.assignment.row_of).all()
         assert (a.assignment.col_of == b.assignment.col_of).all()
 
+    def test_256_restarts_at_oracle_sizes_within_a_second(self):
+        # 8 calls on each criterion-3 shape: about 0.2 s with the restarts
+        # run in lockstep, about 1.9 s with one Python construction each.
+        layers = [(uniform_matrix(n, n, seed=10 * n + p), p)
+                  for n in (6, 7, 8) for p in (2, 3)]
+        start = time.perf_counter()
+        for w, p in layers:
+            for seed in range(8):
+                multi_restart(w, p, 256, seed)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"48 searches of 256 restarts took {elapsed:.2f} s"
+
 
 class TestRefineSwaps:
     def test_oracle_optimal_input_unchanged(self):

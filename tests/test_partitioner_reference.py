@@ -7,6 +7,12 @@ position, and every restart is scored exactly through
 `result_from_assignment`. The search in `partitioner` must give the same
 assignments and bit-equal metrics on a seeded corpus.
 
+`_greedy_assignment` is the construction that ran one restart at a time,
+kept as it was, with its helpers `_top_columns` and `_best_open`: a
+Python loop over the rows visited while founding, then one over the rows
+left. The lockstep constructor must give every restart the same labels
+and a bit-equal tracked weight.
+
 `reference_refine_swaps` is the earlier refinement, kept as it was: a
 Python loop over every pair of rows and every pair of columns on each
 pass. `refine_swaps` must apply the same swap sequence.
@@ -26,15 +32,108 @@ from blockprune.core import (
     result_from_assignment,
 )
 from blockprune.partitioner import (
+    _BLOCK_ELEMENTS,
     _abs_weights,
     _check_p,
-    _greedy_assignment,
-    _top_columns,
+    _construct,
     greedy_partition,
     multi_restart,
     refine_swaps,
 )
-from blockprune.rng import SplitMix64, stream_element
+from blockprune.rng import SplitMix64, stream_array, stream_element
+
+
+def _top_columns(abs_row: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest |w| among candidates; ties to lowest index."""
+    vals = abs_row[candidates]
+    order = np.lexsort((candidates, -vals))
+    return candidates[order[:k]]
+
+
+def _best_open(scores: list, row_counts: list, row_caps: tuple):
+    """(partition, score) of the best-scoring partition with a free row.
+
+    Strict `>` from a score of -1 keeps ties on the lowest index; with no
+    free row the result is (-1, -1.0).
+    """
+    best_k, best_score = -1, -1.0
+    for k, score in enumerate(scores):
+        if row_counts[k] < row_caps[k] and score > best_score:
+            best_k, best_score = k, score
+    return best_k, best_score
+
+
+def _greedy_assignment(abs_w: np.ndarray, p: int, seed: int) -> tuple:
+    """One greedy construction: (assignment, tracked retained weight).
+
+    The tracked weight is the sum of the winning scores, so it equals the
+    retained |W| up to summation-order rounding. Rows visited after the
+    last founding are scored in one pass over the columns of abs_w, in
+    index order: the order `np.bincount` adds a row's magnitudes in, so
+    every score is bit-identical to scoring the row on its own.
+    """
+    rows, cols = abs_w.shape
+    row_caps = partition_capacities(rows, p)
+    col_caps = partition_capacities(cols, p)
+
+    order = SplitMix64(seed).permutation(rows)
+    row_of = np.full(rows, -1, dtype=np.int64)
+    col_of = np.full(cols, -1, dtype=np.int64)
+    row_counts = [0] * p
+    founded = 0
+    retained = 0.0
+
+    idx = 0
+    while founded < p:
+        r = int(order[idx])
+        abs_row = abs_w[r]
+        must_found = rows - idx == p - founded
+
+        best_k, best_score = -1, -1.0
+        if founded and not must_found:
+            assigned = col_of >= 0
+            scores = np.bincount(
+                col_of[assigned], weights=abs_row[assigned], minlength=founded
+            )
+            best_k, best_score = _best_open(scores.tolist(), row_counts, row_caps)
+
+        free_cols = np.flatnonzero(col_of < 0)
+        found_here = must_found
+        if not found_here:
+            cap = col_caps[founded]
+            top = np.partition(abs_row[free_cols], len(free_cols) - cap)[-cap:]
+            # Founding loses ties to any founded partition.
+            found_here = float(top.sum()) > best_score
+
+        if found_here:
+            chosen = _top_columns(abs_row, free_cols, col_caps[founded])
+            col_of[chosen] = founded
+            row_of[r] = founded
+            row_counts[founded] += 1
+            retained += float(abs_row[chosen].sum())
+            founded += 1
+        else:
+            row_of[r] = best_k
+            row_counts[best_k] += 1
+            retained += best_score
+        idx += 1
+
+    # Column sets are frozen: score every row against every partition.
+    rest = order[idx:]
+    if len(rest):
+        score = np.zeros((p, rows))
+        abs_t = abs_w.T
+        for j, k in enumerate(col_of.tolist()):
+            score[k] += abs_t[j]
+        labels = []
+        for row_scores in score[:, rest].T.tolist():
+            best_k, best_score = _best_open(row_scores, row_counts, row_caps)
+            labels.append(best_k)
+            row_counts[best_k] += 1
+            retained += best_score
+        row_of[rest] = labels
+
+    return PartitionAssignment(p=p, row_of=row_of, col_of=col_of), retained
 
 
 def reference_permutation(seed, n):
@@ -227,6 +326,68 @@ def test_equal_losses_keep_the_lowest_restart():
         assert_same(got, reference_multi_restart(w, p, 8, seed=3))
         first = greedy_partition(w, p, stream_element(3, 0)).assignment
         assert (got.assignment.row_of == first.row_of).all()
+
+
+def edge_matrix(rows, cols, kind):
+    if kind == "ones":
+        # Founding scores tie the best open partition's score.
+        return WeightMatrix(np.ones((rows, cols)))
+    if kind == "one_column":
+        # Only column 0 carries weight, so a row joins an open partition
+        # whenever there is one, and founding waits until it is forced.
+        data = np.zeros((rows, cols))
+        data[:, 0] = np.arange(1, rows + 1)
+        return WeightMatrix(data)
+    return corpus_matrix(rows, cols, kind)
+
+
+def assert_lockstep_matches(w, p, restarts, seed):
+    abs_w = _abs_weights(w)
+    row_of, col_of, tracked = _construct(abs_w, p, stream_array(seed, restarts))
+    for r in range(restarts):
+        want, want_tracked = _greedy_assignment(abs_w, p, stream_element(seed, r))
+        assert (row_of[r] == want.row_of).all(), r
+        assert (col_of[r] == want.col_of).all(), r
+        assert tracked[r] == want_tracked, r
+    assert_same(multi_restart(w, p, restarts, seed),
+                reference_multi_restart(w, p, restarts, seed))
+    return tracked
+
+
+@pytest.mark.parametrize("rows,cols,kind,p,restarts", [
+    (7, 5, "gauss", 1, 4),  # p = 1
+    (6, 11, "uniform", 6, 8),  # p = min(rows, cols), rows < cols
+    (3, 40, "ties", 3, 8),
+    (13, 4, "gauss", 4, 8),  # p = min(rows, cols), rows > cols
+    (40, 3, "ties", 3, 8),
+    (10, 10, "one_column", 7, 8),  # founding forced on the last 4 rows
+    (12, 10, "ones", 2, 8),
+    (12, 10, "ones", 4, 8),
+    (17, 13, "ties", 3, 1),  # one restart
+    (9, 6, "near_ties", 2, 1),
+    (6, 4096, "ties", 3, 40),  # founding runs in blocks of 16 restarts
+])
+def test_lockstep_matches_per_restart_construction(rows, cols, kind, p, restarts):
+    w = edge_matrix(rows, cols, kind)
+    for seed in SEEDS:
+        assert_lockstep_matches(w, p, restarts, seed)
+    if kind == "one_column":
+        # Each of the last 4 rows visited founds a one-row partition.
+        order = SplitMix64(stream_element(5, 0)).permutation(rows)
+        row_of = greedy_partition(w, p, stream_element(5, 0)).assignment.row_of
+        assert row_of[order[-4:]].tolist() == [3, 4, 5, 6]
+
+
+def test_lockstep_ties_across_restart_blocks():
+    # Far more restarts than one block holds, on a layer of many equal
+    # losses: the lowest tied restart must win across block boundaries.
+    w = corpus_matrix(6, 6, "ties")
+    p, restarts = 3, 5000
+    block = _BLOCK_ELEMENTS // (p * 6)  # restarts per block after founding
+    assert restarts > block
+    tracked = assert_lockstep_matches(w, p, restarts, seed=11)
+    near = np.flatnonzero(tracked == tracked.max())
+    assert near[0] < block <= near[-1]
 
 
 REFINE_SHAPES = [(2, 3), (5, 5), (6, 9), (9, 6), (17, 13), (40, 64), (64, 64),

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -214,3 +215,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(contention_overhead=-0.1).validate()
         SimConfig(dma_fixed_overhead_cycles=0).validate()  # zero allowed
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["contention_overhead",
+                                       "bus_bandwidth_bytes_per_cycle"])
+    def test_non_finite_bus_parameters_rejected(self, field, value):
+        # An infinite contention once gave a makespan of 0.0 (inf * 0 is
+        # nan, and max(0.0, nan) keeps 0.0) with no error.
+        cfg = replace(SimConfig(), **{field: value})
+        with pytest.raises(ValueError, match="finite"):
+            cfg.validate()
+        with pytest.raises(ValueError, match="finite"):
+            simulate(cfg, baseline_workload(64, 64))
