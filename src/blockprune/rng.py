@@ -56,18 +56,14 @@ def batch_permutation(seeds: np.ndarray, n: int) -> np.ndarray:
     rows take each swap together, so the Python loop runs n - 1 times
     whatever the number of seeds.
     """
-    count = len(seeds)
     draws = max(n - 1, 0)
     js = stream_array(seeds, draws) % np.arange(n, 1, -1, dtype=np.uint64)
-    perm = np.tile(np.arange(n, dtype=np.int64), (count, 1))
+    perm = np.tile(np.arange(n, dtype=np.int64), (len(seeds), 1))
     flat = perm.reshape(-1)
-    base = np.arange(count, dtype=np.int64)[:, None] * n
-    i = (np.arange(n - 1, 0, -1) + base).T
-    j = (js.astype(np.int64) + base).T
-    # Swap step k as one gather and one scatter over both ends; when
-    # i == j both writes carry the same value.
-    for src, dst in zip(np.hstack([j, i]), np.hstack([i, j])):
-        flat[dst] = flat[src]
+    base = np.arange(len(seeds), dtype=np.int64) * n
+    for i, j in zip(range(n - 1, 0, -1), js.T):
+        a, b = base + i, base + j.astype(np.int64)
+        flat[a], flat[b] = flat[b], flat[a]
     return perm
 
 

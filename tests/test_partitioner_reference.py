@@ -8,10 +8,11 @@ position, and every restart is scored exactly through
 assignments and bit-equal metrics on a seeded corpus.
 
 `_greedy_assignment` is the construction that ran one restart at a time,
-kept as it was, with its helpers `_top_columns` and `_best_open`: a
-Python loop over the rows visited while founding, then one over the rows
-left. The lockstep constructor must give every restart the same labels
-and a bit-equal tracked weight.
+with its helpers `_top_columns` and `_best_open`: a Python loop over the
+rows visited while founding, then one over the rows left. It shuffles
+with the pure-Python `reference_permutation`, so it checks the batched
+shuffle too. The lockstep constructor must give every restart the same
+labels and a bit-equal tracked weight.
 
 `reference_refine_swaps` is the earlier refinement, kept as it was: a
 Python loop over every pair of rows and every pair of columns on each
@@ -63,6 +64,15 @@ def _best_open(scores: list, row_counts: list, row_caps: tuple):
     return best_k, best_score
 
 
+def reference_permutation(seed, n):
+    rng = SplitMix64(seed)
+    perm = np.arange(n, dtype=np.int64)
+    for i in range(n - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
 def _greedy_assignment(abs_w: np.ndarray, p: int, seed: int) -> tuple:
     """One greedy construction: (assignment, tracked retained weight).
 
@@ -76,7 +86,7 @@ def _greedy_assignment(abs_w: np.ndarray, p: int, seed: int) -> tuple:
     row_caps = partition_capacities(rows, p)
     col_caps = partition_capacities(cols, p)
 
-    order = SplitMix64(seed).permutation(rows)
+    order = reference_permutation(seed, rows)
     row_of = np.full(rows, -1, dtype=np.int64)
     col_of = np.full(cols, -1, dtype=np.int64)
     row_counts = [0] * p
@@ -134,15 +144,6 @@ def _greedy_assignment(abs_w: np.ndarray, p: int, seed: int) -> tuple:
         row_of[rest] = labels
 
     return PartitionAssignment(p=p, row_of=row_of, col_of=col_of), retained
-
-
-def reference_permutation(seed, n):
-    rng = SplitMix64(seed)
-    perm = np.arange(n, dtype=np.int64)
-    for i in range(n - 1, 0, -1):
-        j = rng.next_below(i + 1)
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm
 
 
 def reference_greedy(weights, p, seed):
@@ -310,9 +311,10 @@ def test_search_matches_mask_based_reference(rows, cols, kind):
         for seed in SEEDS:
             want = reference_greedy(w, p, seed)
             assert_same(greedy_partition(w, p, seed), want)
-            _, tracked = _greedy_assignment(abs_w, p, seed)
-            assert tracked == pytest.approx(want.retained_abs_weight,
-                                            rel=1e-12, abs=1e-300)
+            _, _, tracked = _construct(abs_w, p, np.array([seed], dtype=np.uint64))
+            assert tracked[0] == pytest.approx(want.retained_abs_weight,
+                                               rel=1e-12, abs=1e-300)
+            assert tracked[0] == _greedy_assignment(abs_w, p, seed)[1]
             assert_same(multi_restart(w, p, restarts, seed),
                         reference_multi_restart(w, p, restarts, seed))
 
@@ -364,6 +366,7 @@ def assert_lockstep_matches(w, p, restarts, seed):
     (12, 10, "ones", 2, 8),
     (12, 10, "ones", 4, 8),
     (17, 13, "ties", 3, 1),  # one restart
+    (17, 13, "ties", 3, 32),  # one indexed add per column for the block
     (9, 6, "near_ties", 2, 1),
     (6, 4096, "ties", 3, 40),  # founding runs in blocks of 16 restarts
 ])
@@ -373,7 +376,7 @@ def test_lockstep_matches_per_restart_construction(rows, cols, kind, p, restarts
         assert_lockstep_matches(w, p, restarts, seed)
     if kind == "one_column":
         # Each of the last 4 rows visited founds a one-row partition.
-        order = SplitMix64(stream_element(5, 0)).permutation(rows)
+        order = reference_permutation(stream_element(5, 0), rows)
         row_of = greedy_partition(w, p, stream_element(5, 0)).assignment.row_of
         assert row_of[order[-4:]].tolist() == [3, 4, 5, 6]
 

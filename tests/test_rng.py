@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from blockprune.rng import SplitMix64, stream_array, stream_element, uniform_array
+from blockprune.rng import (
+    SplitMix64,
+    batch_permutation,
+    stream_array,
+    stream_element,
+    uniform_array,
+)
 
 
 # Reference outputs of the public-domain SplitMix64 algorithm for seed 0.
@@ -74,6 +80,20 @@ def test_permutation_is_the_sequential_shuffle(seed, n):
     assert perm.tolist() == want
     # The generator ends where the sequential draws left it.
     assert rng.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 257])
+def test_batch_permutation_rows_are_the_sequential_shuffles(n):
+    seeds = np.array([0, 1, 42, 2**63, 2**64 - 1, 42], dtype=np.uint64)
+    perms = batch_permutation(seeds, n)
+    assert perms.shape == (len(seeds), n) and perms.dtype == np.int64
+    for seed, perm in zip(seeds.tolist(), perms):
+        ref = SplitMix64(seed)
+        want = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = ref.next_below(i + 1)
+            want[i], want[j] = want[j], want[i]
+        assert perm.tolist() == want
 
 
 def test_different_seeds_differ():
