@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -83,6 +84,18 @@ def cmd_prune(args) -> int:
 
 def cmd_oracle(args) -> int:
     weights = matio.read_matrix(args.input)
+    if args.result:
+        res = matio.read_result(args.result, weights)
+        # A search loss compares with the optimum only at the same p and
+        # balance; any other assignment can lose less than the optimum.
+        if res.assignment.p != args.p:
+            raise ValueError(
+                f"{args.result}: result is for p={res.assignment.p}, "
+                f"the oracle was asked for p={args.p}"
+            )
+        check = validate_assignment(res.assignment, weights.rows, weights.cols)
+        if not check.ok:
+            raise ValueError(f"{args.result}: infeasible assignment: {check.first_violation}")
     oracle = brute_force_partition(weights, args.p, budget=args.budget)
     payload = {
         "p": args.p,
@@ -98,7 +111,6 @@ def cmd_oracle(args) -> int:
         f"cols={payload['col_partition']}"
     )
     if args.result:
-        res = matio.read_result(args.result, weights)
         gap = res.weight_loss - oracle.optimum_loss
         payload["search_loss"] = res.weight_loss
         payload["gap"] = gap
@@ -123,8 +135,8 @@ def cmd_verify(args) -> int:
         _emit(args, payload, f"FAIL: infeasible assignment: {check.first_violation}")
         return EXIT_INVALID
 
-    if args.tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < args.tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {args.tolerance}")
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
     # read_assignment matched the dimensions and balance is checked above.

@@ -72,8 +72,8 @@ def _parse_binary(raw: bytes, path) -> WeightMatrix:
             f"{path}: payload is {len(raw)} bytes, expected {expected} "
             f"for a {rows}x{cols} matrix"
         )
-    data = np.frombuffer(raw, dtype="<f4", offset=16).reshape(rows, cols)
-    return WeightMatrix(data.astype(np.float64))
+    # WeightMatrix widens this view into its own float64 array: one copy.
+    return WeightMatrix(np.frombuffer(raw, dtype="<f4", offset=16).reshape(rows, cols))
 
 
 def _parse_csv(raw: bytes, path) -> WeightMatrix:
@@ -100,7 +100,7 @@ def _parse_csv(raw: bytes, path) -> WeightMatrix:
         rows.append(vals)
     if not rows:
         raise ValueError(f"{path}: empty matrix file")
-    return WeightMatrix(np.array(rows, dtype=np.float64))
+    return WeightMatrix(rows)
 
 
 def result_to_dict(result: PruneResult, refined: bool) -> dict:

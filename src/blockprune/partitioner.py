@@ -391,74 +391,54 @@ def refine_swaps(
     return refined if refined.weight_loss <= result.weight_loss else result
 
 
-def _grouping_count(n: int, caps: tuple) -> int:
-    total = math.factorial(n)
-    for c in caps:
-        total //= math.factorial(c)
-    mult: dict = {}
-    for c in caps:
-        mult[c] = mult.get(c, 0) + 1
-    for m in mult.values():
-        total //= math.factorial(m)
-    return total
-
-
-def _split_count(n: int, caps: tuple) -> int:
+def _split_count(n: int, caps) -> int:
+    """Ways to split n items into labeled groups sized per caps."""
     total = math.factorial(n)
     for c in caps:
         total //= math.factorial(c)
     return total
-
-
-def _groupings(items: tuple, caps: tuple, prev_cap: int = -1, prev_min: int = -1):
-    """Yield set partitions of items into groups sized per caps.
-
-    Label symmetry between equal-size groups is removed by requiring
-    consecutive groups of the same size to have increasing minima, so
-    each unordered grouping appears exactly once.
-    """
-    if not caps:
-        yield ()
-        return
-    c = caps[0]
-    for group in combinations(items, c):
-        if c == prev_cap and group[0] <= prev_min:
-            continue
-        chosen = set(group)
-        remaining = tuple(x for x in items if x not in chosen)
-        for tail in _groupings(remaining, caps[1:], c, group[0]):
-            yield (group,) + tail
 
 
 @lru_cache(maxsize=None)
-def _labeled_splits(n: int, caps: tuple) -> np.ndarray:
+def _labeled_splits(n: int, caps: tuple, unordered: bool = False) -> np.ndarray:
     """All assignments of n items to slots with the given sizes.
 
     Returns an array of shape (count, n) holding the slot index of each
-    item, in a deterministic enumeration order.
+    item, in a deterministic enumeration order. With `unordered`, slots
+    of equal size are interchangeable and each grouping appears once:
+    consecutive slots of the same size must have increasing minima.
     """
     out: list = []
     labels = np.empty(n, dtype=np.int64)
 
-    def rec(items: tuple, slot: int):
+    def rec(items: tuple, slot: int, prev_min: int):
         if slot == len(caps):
             out.append(labels.copy())
             return
         for group in combinations(items, caps[slot]):
+            if unordered and slot and caps[slot] == caps[slot - 1] and group[0] <= prev_min:
+                continue
             labels[list(group)] = slot
             chosen = set(group)
-            rec(tuple(x for x in items if x not in chosen), slot + 1)
+            rec(tuple(x for x in items if x not in chosen), slot + 1, group[0])
 
-    rec(tuple(range(n)), 0)
-    return np.array(out)
+    rec(tuple(range(n)), 0, -1)
+    splits = np.array(out)
+    # rec refers to itself, so the list would outlive this call until the
+    # cycle collector runs.
+    out.clear()
+    return splits
 
 
 def oracle_enumeration_size(rows: int, cols: int, p: int) -> int:
     """Candidate count the brute-force oracle would examine."""
     row_caps = partition_capacities(rows, p)
     col_caps = partition_capacities(cols, p)
-    seqs = len(set(permutations(col_caps)))
-    return _grouping_count(rows, row_caps) * seqs * _split_count(cols, col_caps)
+    # Row groups of equal size are unlabeled, and the column capacities
+    # are taken in each of their distinct orders.
+    relabelings = math.prod(math.factorial(row_caps.count(c)) for c in set(row_caps))
+    seqs = _split_count(p, [col_caps.count(c) for c in set(col_caps)])
+    return _split_count(rows, row_caps) // relabelings * seqs * _split_count(cols, col_caps)
 
 
 def brute_force_partition(
@@ -472,10 +452,13 @@ def brute_force_partition(
     group may share a partition with a larger column group). Each
     distinct mask is examined exactly once.
 
-    The scan scores candidates by total-minus-retained magnitude, then
-    re-evaluates every near-tied candidate through the same loss function
-    the greedy search uses, so the reported optimum compares exactly
-    against search results.
+    The candidates form one table: row g is a row grouping, column s a
+    column split, over every order of the column capacities, and the
+    entry is the candidate's retained |W|. Every candidate within a
+    margin of the table's maximum, far wider than rounding, is then
+    re-evaluated in table order through the same loss function the
+    greedy search uses, so the reported optimum compares exactly against
+    search results.
     """
     rows, cols = weights.rows, weights.cols
     _check_p(rows, cols, p)
@@ -487,52 +470,35 @@ def brute_force_partition(
             estimate=estimate,
         )
 
-    row_caps = partition_capacities(rows, p)
-    col_caps = partition_capacities(cols, p)
     abs_w = np.abs(weights.data)
-    total_abs = float(abs_w.sum())
-
+    groupings = _labeled_splits(rows, partition_capacities(rows, p), unordered=True)
+    col_caps = partition_capacities(cols, p)
     cap_seqs = sorted(set(permutations(col_caps)), reverse=True)
-    splits = {seq: _labeled_splits(cols, seq) for seq in cap_seqs}
-    col_range = np.arange(cols)
+    splits = np.concatenate([_labeled_splits(cols, seq) for seq in cap_seqs])
 
-    groupings = list(_groupings(tuple(range(rows)), row_caps))
+    # The table is added column by column, in blocks of groupings, so no
+    # temporary holds more than 1/cols of it.
+    retained = np.zeros((len(groupings), len(splits)))
+    step = -(-len(groupings) // cols)
+    for lo in range(0, len(groupings), step):
+        block = groupings[lo:lo + step]
+        # sums[g, k, j]: |W| of column j over the rows of block[g]'s group k.
+        sums = np.zeros((len(block), p, cols))
+        np.add.at(sums, (np.arange(len(block))[:, None], block), abs_w)
+        for j in range(cols):
+            retained[lo:lo + step] += sums[:, :, j][:, splits[:, j]]
 
-    # Pass 1: vectorized retained-weight scan to bound the optimum.
-    retained_by = {}
-    best_retained = -1.0
-    for g, groups in enumerate(groupings):
-        sums = np.stack([abs_w[list(grp)].sum(axis=0) for grp in groups])
-        for seq in cap_seqs:
-            retained = sums[splits[seq], col_range].sum(axis=1)
-            retained_by[(g, seq)] = retained
-            m = float(retained.max())
-            if m > best_retained:
-                best_retained = m
-
-    # Pass 2: exact re-evaluation of every candidate close enough to the
-    # scan optimum that summation-order rounding could matter.
-    margin = 1e-6 * max(total_abs, 1.0)
+    margin = 1e-6 * max(float(abs_w.sum()), 1.0)
     best_loss = math.inf
     witness = None
-    enumerated = 0
-    for g, groups in enumerate(groupings):
-        row_of = np.empty(rows, dtype=np.int64)
-        for k, grp in enumerate(groups):
-            row_of[list(grp)] = k
-        for seq in cap_seqs:
-            retained = retained_by[(g, seq)]
-            enumerated += len(retained)
-            near = np.flatnonzero(retained >= best_retained - margin)
-            for c_idx in near:
-                assignment = PartitionAssignment(
-                    p=p, row_of=row_of, col_of=splits[seq][c_idx]
-                )
-                loss = weight_loss(weights, mask_of(assignment))
-                if loss < best_loss:
-                    best_loss = loss
-                    witness = assignment
+    for idx in np.flatnonzero(retained >= retained.max() - margin):
+        g, s = divmod(int(idx), len(splits))
+        assignment = PartitionAssignment(p=p, row_of=groupings[g], col_of=splits[s])
+        loss = weight_loss(weights, mask_of(assignment))
+        if loss < best_loss:
+            best_loss = loss
+            witness = assignment
 
     return OracleResult(
-        optimum_loss=best_loss, optimum_assignment=witness, enumerated=enumerated
+        optimum_loss=best_loss, optimum_assignment=witness, enumerated=retained.size
     )

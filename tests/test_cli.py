@@ -137,6 +137,34 @@ class TestOracle:
         run("gen", "--rows", 16, "--cols", 16, "--seed", 0, "--out", path,
             "--quiet")
         assert run("oracle", path, "-p", 4, "--quiet") == 3
+        res = tmp_path / "r.json"
+        run("prune", path, "-p", 4, "--restarts", 1, "--out", res, "--quiet")
+        assert run("oracle", path, "-p", 4, "--result", res, "--quiet") == 3
+
+    def test_result_for_another_p_exits_2(self, tmp_path, capsys):
+        # A p = 2 result loses less than the p = 3 optimum of this layer.
+        path = tmp_path / "m.bpwm"
+        run("gen", "--rows", 7, "--cols", 7, "--seed", 3, "--out", path,
+            "--quiet")
+        res = tmp_path / "r2.json"
+        run("prune", path, "-p", 2, "--out", res, "--quiet")
+        assert run("oracle", path, "-p", 3, "--result", res) == 2
+        captured = capsys.readouterr()
+        assert "gap" not in captured.out
+        assert captured.err.startswith("error:")
+        assert "p=2" in captured.err and "p=3" in captured.err
+
+    def test_infeasible_result_exits_2(self, matrix_6x8, tmp_path, capsys):
+        res = tmp_path / "r.json"
+        run("prune", matrix_6x8, "-p", 2, "--out", res, "--quiet")
+        d = json.loads(res.read_text())
+        d["row_partition"] = [0] * 6  # loses nothing, but is not balanced
+        d["col_partition"] = [0] * 8
+        res.write_text(json.dumps(d))
+        assert run("oracle", matrix_6x8, "-p", 2, "--result", res) == 2
+        captured = capsys.readouterr()
+        assert "gap" not in captured.out
+        assert captured.err.startswith("error:") and "infeasible" in captured.err
 
 
 class TestVerify:
@@ -192,6 +220,16 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "PASS" not in captured.out
         assert "trials" in captured.err
+
+    @pytest.mark.parametrize("tolerance", ["inf", "nan", "-1", "0"])
+    def test_tolerance_must_be_positive_and_finite(self, matrix_6x8, tmp_path,
+                                                   capsys, tolerance):
+        res = tmp_path / "r.json"
+        run("prune", matrix_6x8, "-p", 2, "--out", res, "--quiet")
+        assert run("verify", matrix_6x8, res, "--tolerance", tolerance) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert captured.err.startswith("error:") and "tolerance" in captured.err
 
     def test_trials_draw_the_sequential_stream_across_chunks(
             self, matrix_6x8, tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,19 @@ class TestBinaryFormat:
         path.write_bytes(b"BPWM" + (99).to_bytes(4, "little") * 3)
         with pytest.raises(ValueError, match="version"):
             read_matrix(path)
+
+    def test_read_widens_once(self, tmp_path):
+        path = tmp_path / "m.bpwm"
+        write_matrix_binary(path, uniform_matrix(512, 512, seed=4))
+        tracemalloc.start()
+        try:
+            w = read_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The file's bytes (half the float64 array) and the array itself;
+        # a second float64 copy would pass 2x.
+        assert peak < 1.75 * w.data.nbytes
 
     def test_non_finite_payload_rejected(self, tmp_path):
         import struct

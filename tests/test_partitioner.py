@@ -1,3 +1,4 @@
+import math
 import time
 from itertools import product
 
@@ -282,6 +283,17 @@ class TestOracle:
         with pytest.raises(OracleBudgetError, match="too large") as exc:
             brute_force_partition(w, 4, budget=1000)
         assert exc.value.estimate > 1000
+
+    def test_budget_refusal_is_quick_at_large_p(self):
+        # The p! orders of the column capacities are counted, not listed.
+        w = uniform_matrix(11, 11, seed=0)
+        start = time.perf_counter()
+        with pytest.raises(OracleBudgetError) as exc:
+            brute_force_partition(w, 11)
+        elapsed = time.perf_counter() - start
+        assert exc.value.estimate == math.factorial(11)
+        assert elapsed < 1.0, f"refusing p=11 took {elapsed:.2f} s"
+        assert oracle_enumeration_size(40, 40, 40) == math.factorial(40)
 
     def test_unequal_side_pairings_explored(self):
         # 3x4 with p=2: row caps (2,1), col caps (2,2). Put all the mass

@@ -14,13 +14,23 @@ with the pure-Python `reference_permutation`, so it checks the batched
 shuffle too. The lockstep constructor must give every restart the same
 labels and a bit-equal tracked weight.
 
+`reference_brute_force_partition` is the earlier oracle, kept as it was
+with its candidate count `reference_enumeration_size` and its tuple
+generator `_groupings`: pass 1 stores the retained |W| of every (row
+grouping, column capacity order) pair in a dict, and pass 2 walks the
+pairs again and scores every candidate near the best exactly. The oracle
+in `partitioner` must give a bit-equal optimum, the same witness and the
+same candidate count, and refuse the same instances with the same
+estimate.
+
 `reference_refine_swaps` is the earlier refinement, kept as it was: a
 Python loop over every pair of rows and every pair of columns on each
 pass. `refine_swaps` must apply the same swap sequence.
 """
 
+import math
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -29,16 +39,24 @@ from blockprune.core import (
     PartitionAssignment,
     PruneResult,
     WeightMatrix,
+    mask_of,
     partition_capacities,
     result_from_assignment,
+    weight_loss,
 )
 from blockprune.partitioner import (
     _BLOCK_ELEMENTS,
+    DEFAULT_ORACLE_BUDGET,
+    OracleBudgetError,
+    OracleResult,
     _abs_weights,
     _check_p,
     _construct,
+    _labeled_splits,
+    brute_force_partition,
     greedy_partition,
     multi_restart,
+    oracle_enumeration_size,
     refine_swaps,
 )
 from blockprune.rng import SplitMix64, stream_array, stream_element
@@ -270,6 +288,129 @@ def reference_refine_swaps(
     return refined if refined.weight_loss <= result.weight_loss else result
 
 
+def _grouping_count(n: int, caps: tuple) -> int:
+    total = math.factorial(n)
+    for c in caps:
+        total //= math.factorial(c)
+    mult: dict = {}
+    for c in caps:
+        mult[c] = mult.get(c, 0) + 1
+    for m in mult.values():
+        total //= math.factorial(m)
+    return total
+
+
+def _split_count(n: int, caps: tuple) -> int:
+    total = math.factorial(n)
+    for c in caps:
+        total //= math.factorial(c)
+    return total
+
+
+def _groupings(items: tuple, caps: tuple, prev_cap: int = -1, prev_min: int = -1):
+    """Yield set partitions of items into groups sized per caps.
+
+    Label symmetry between equal-size groups is removed by requiring
+    consecutive groups of the same size to have increasing minima, so
+    each unordered grouping appears exactly once.
+    """
+    if not caps:
+        yield ()
+        return
+    c = caps[0]
+    for group in combinations(items, c):
+        if c == prev_cap and group[0] <= prev_min:
+            continue
+        chosen = set(group)
+        remaining = tuple(x for x in items if x not in chosen)
+        for tail in _groupings(remaining, caps[1:], c, group[0]):
+            yield (group,) + tail
+
+
+def reference_enumeration_size(rows: int, cols: int, p: int) -> int:
+    """Candidate count the brute-force oracle would examine."""
+    row_caps = partition_capacities(rows, p)
+    col_caps = partition_capacities(cols, p)
+    seqs = len(set(permutations(col_caps)))
+    return _grouping_count(rows, row_caps) * seqs * _split_count(cols, col_caps)
+
+
+def reference_brute_force_partition(
+    weights: WeightMatrix, p: int, budget: int = DEFAULT_ORACLE_BUDGET
+) -> OracleResult:
+    """Exact minimizer of the pruning loss over all balanced assignments.
+
+    Enumerates every unordered row grouping with the balanced capacity
+    multiset, every assignment of columns to capacity slots, and every
+    pairing of row capacities with column capacities (so a smaller row
+    group may share a partition with a larger column group). Each
+    distinct mask is examined exactly once.
+
+    The scan scores candidates by total-minus-retained magnitude, then
+    re-evaluates every near-tied candidate through the same loss function
+    the greedy search uses, so the reported optimum compares exactly
+    against search results.
+    """
+    rows, cols = weights.rows, weights.cols
+    _check_p(rows, cols, p)
+    estimate = reference_enumeration_size(rows, cols, p)
+    if estimate > budget:
+        raise OracleBudgetError(
+            f"instance too large for oracle: about {estimate} candidate "
+            f"assignments exceed the budget of {budget}",
+            estimate=estimate,
+        )
+
+    row_caps = partition_capacities(rows, p)
+    col_caps = partition_capacities(cols, p)
+    abs_w = np.abs(weights.data)
+    total_abs = float(abs_w.sum())
+
+    cap_seqs = sorted(set(permutations(col_caps)), reverse=True)
+    splits = {seq: _labeled_splits(cols, seq) for seq in cap_seqs}
+    col_range = np.arange(cols)
+
+    groupings = list(_groupings(tuple(range(rows)), row_caps))
+
+    # Pass 1: vectorized retained-weight scan to bound the optimum.
+    retained_by = {}
+    best_retained = -1.0
+    for g, groups in enumerate(groupings):
+        sums = np.stack([abs_w[list(grp)].sum(axis=0) for grp in groups])
+        for seq in cap_seqs:
+            retained = sums[splits[seq], col_range].sum(axis=1)
+            retained_by[(g, seq)] = retained
+            m = float(retained.max())
+            if m > best_retained:
+                best_retained = m
+
+    # Pass 2: exact re-evaluation of every candidate close enough to the
+    # scan optimum that summation-order rounding could matter.
+    margin = 1e-6 * max(total_abs, 1.0)
+    best_loss = math.inf
+    witness = None
+    enumerated = 0
+    for g, groups in enumerate(groupings):
+        row_of = np.empty(rows, dtype=np.int64)
+        for k, grp in enumerate(groups):
+            row_of[list(grp)] = k
+        for seq in cap_seqs:
+            retained = retained_by[(g, seq)]
+            enumerated += len(retained)
+            near = np.flatnonzero(retained >= best_retained - margin)
+            for c_idx in near:
+                assignment = PartitionAssignment(
+                    p=p, row_of=row_of, col_of=splits[seq][c_idx]
+                )
+                loss = weight_loss(weights, mask_of(assignment))
+                if loss < best_loss:
+                    best_loss = loss
+                    witness = assignment
+
+    return OracleResult(
+        optimum_loss=best_loss, optimum_assignment=witness, enumerated=enumerated
+    )
+
 SHAPES = [(5, 5), (6, 9), (9, 6), (17, 13), (40, 64), (128, 97), (512, 515)]
 KINDS = ["uniform", "gauss", "ties", "near_ties"]
 SEEDS = [0, 7, 2**64 - 1]
@@ -457,3 +598,42 @@ def test_refine_overflowing_gains_never_win():
             base = result_from_assignment(w, balanced_start(12, 10, p, p),
                                           seed=0, restarts=1)
             assert_same_refinement(w, base, 50)
+
+
+ORACLE_SHAPES = [(rows, cols, p) for rows in range(1, 9) for cols in range(1, 9)
+                 for p in range(1, min(rows, cols) + 1)]
+
+
+@pytest.mark.parametrize("kind", KINDS + ["ones"])
+def test_oracle_matches_two_pass_reference(kind):
+    # On an all-ones layer every candidate ties the best and is scored
+    # exactly, and the enumeration order alone picks the witness; those
+    # cases stay small to keep the run short.
+    limit = 5_000 if kind == "ones" else 500_000
+    checked = 0
+    for rows, cols, p in ORACLE_SHAPES:
+        if reference_enumeration_size(rows, cols, p) > limit:
+            continue
+        w = edge_matrix(rows, cols, kind)
+        got = brute_force_partition(w, p)
+        want = reference_brute_force_partition(w, p)
+        case = (rows, cols, p)
+        assert got.optimum_loss == want.optimum_loss, case
+        assert (got.optimum_assignment.row_of == want.optimum_assignment.row_of).all(), case
+        assert (got.optimum_assignment.col_of == want.optimum_assignment.col_of).all(), case
+        assert got.enumerated == want.enumerated, case
+        checked += 1
+    assert checked > 100
+
+
+def test_oracle_refuses_as_the_reference_does():
+    for rows, cols, p in ORACLE_SHAPES:
+        estimate = reference_enumeration_size(rows, cols, p)
+        assert oracle_enumeration_size(rows, cols, p) == estimate
+        w = corpus_matrix(rows, cols, "uniform")
+        refused = []
+        for oracle in (brute_force_partition, reference_brute_force_partition):
+            with pytest.raises(OracleBudgetError) as exc:
+                oracle(w, p, budget=estimate - 1)
+            refused.append(exc.value.estimate)
+        assert refused == [estimate, estimate], (rows, cols, p)
