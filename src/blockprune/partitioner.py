@@ -63,6 +63,12 @@ from .rng import MASK64, batch_permutation, stream_array
 DEFAULT_RESTARTS = 32
 DEFAULT_ORACLE_BUDGET = 10_000_000
 
+# Most restarts * (rows + cols) multi_restart accepts. The constructor
+# keeps every restart's row order, row labels and column labels, about
+# 1.5 times that many int64s on a square layer: 0.4 GB at the bound. It
+# allows 4096 restarts at 4096 x 4096 and 2 million at 8 x 8.
+MAX_RESTART_LABELS = 1 << 25
+
 
 class OracleBudgetError(ValueError):
     """Raised when the exact oracle would enumerate too many candidates."""
@@ -286,9 +292,18 @@ def multi_restart(
     for restarts whose tracked weight lies within a margin of the best,
     far wider than any rounding in the tracking, so the kept restart is
     the one a full exact scoring of every restart would keep.
+
+    Raises ValueError, before allocating, when restarts * (rows + cols)
+    exceeds MAX_RESTART_LABELS.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    labels = restarts * (weights.rows + weights.cols)
+    if labels > MAX_RESTART_LABELS:
+        raise ValueError(
+            f"{restarts} restarts of a {weights.rows}x{weights.cols} layer "
+            f"keep {labels} labels, more than the limit of {MAX_RESTART_LABELS}"
+        )
     _check_p(weights.rows, weights.cols, p)
     abs_w = _abs_weights(weights)
     margin = 1e-6 * max(float(abs_w.sum()), 1.0)
@@ -321,25 +336,59 @@ def _best_swap(gain: np.ndarray, labels: np.ndarray, p: int) -> tuple:
     (i, j); with no positive gain the result is (0.0, -1, -1). Each
     ordered partition pair (a, b) is one block of pairs: its nodes are in
     index order, so the first maximum in the block is its lowest (i, j).
+
+    Only the pairs that can win are scored. With d[i, k] the gain of
+    moving node i alone to partition k, a swap gains d[i, b] + d[j, a],
+    so m[a, b], the largest d[i, b] over the nodes of a, bounds every
+    pair of block (a, b) by m[a, b] + m[b, a]. Every pair that wins or
+    ties the winner lies within a rounding margin of the largest bound;
+    the others cannot win and are skipped.
     """
-    members = [np.flatnonzero(labels == k) for k in range(p)]
+    by_label = np.argsort(labels, kind="stable")  # each partition in index order
+    sizes = np.bincount(labels, minlength=p)
+    starts = np.cumsum(sizes) - sizes
+    members = [by_label[s:s + k] for s, k in zip(starts.tolist(), sizes.tolist())]
+    d = gain - gain[np.arange(len(labels)), labels][:, None]
+    # fmax skips NaN; an empty partition bounds nothing.
+    m = np.full((p, p), -np.inf)
+    full = sizes > 0
+    m[full] = np.fmax.reduceat(d[by_label], starts[full], axis=0)
+    bound = m + m.T
+    np.fill_diagonal(bound, -np.inf)
+    peak = float(np.fmax.reduce(bound, axis=None))
+    # With eps = 2**-52 and M = max|gain|, the four-term gain and the
+    # separable sum d[i, b] + d[j, a] each lie within 4.5 eps M of the
+    # exact gain. So the winner gains at least peak - 8.5 eps M, and a
+    # pair that ties it has a sum of at least peak - 17 eps M. Rounding
+    # that sum, thr and the node limits below costs at most 7 eps M
+    # more, so a margin of 24 eps M keeps every such pair; 64 leaves
+    # more than twice that. Non-finite gains, or finite ones whose
+    # four-term sum may overflow, make the margin inf: the comparisons
+    # below are then false for every bound and node, NaN included, and
+    # the whole of every block is scanned.
+    scale = float(np.max(np.abs(gain), initial=0.0))
+    tol = 64 * np.finfo(float).eps * scale if 4 * scale < math.inf else math.inf
     best = (0.0, -1, -1)
-    for a, ia in enumerate(members):
+    if not peak + tol > 0.0:
+        return best  # no pair can gain
+    thr = peak - tol
+    for a, b in zip(*np.nonzero(~(bound < thr))):
+        ia = members[a][~(d[members[a], b] < thr - m[b, a])]
+        ib = members[b][~(d[members[b], a] < thr - m[a, b])]
+        if a == b or not (len(ia) and len(ib)):
+            continue
         ga = gain[ia]
-        for b, ib in enumerate(members):
-            if a == b or not (len(ia) and len(ib)):
-                continue
-            gb = gain[ib]
-            g = ga[:, b, None] + gb[:, a]
-            g -= ga[:, a, None]
-            g -= gb[:, b]
-            g[ia[:, None] > ib] = 0.0  # the pair belongs to block (b, a)
-            np.fmax(g, 0.0, out=g)  # a NaN gain never wins
-            k = int(np.argmax(g))
-            top = float(g.flat[k])
-            i, j = int(ia[k // len(ib)]), int(ib[k % len(ib)])
-            if top > best[0] or (top == best[0] > 0.0 and (i, j) < best[1:]):
-                best = (top, i, j)
+        gb = gain[ib]
+        g = ga[:, b, None] + gb[:, a]
+        g -= ga[:, a, None]
+        g -= gb[:, b]
+        g[ia[:, None] > ib] = 0.0  # the pair belongs to block (b, a)
+        np.fmax(g, 0.0, out=g)  # a NaN gain never wins
+        k = int(np.argmax(g))
+        top = float(g.flat[k])
+        i, j = int(ia[k // len(ib)]), int(ib[k % len(ib)])
+        if top > best[0] or (top == best[0] > 0.0 and (i, j) < best[1:]):
+            best = (top, i, j)
     return best
 
 

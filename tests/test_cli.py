@@ -104,6 +104,16 @@ class TestPrune:
         assert "--max-passes" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_restarts_past_the_label_limit_exit_2(self, matrix_6x8, tmp_path, capsys):
+        # Unchecked, the label arrays asked for 7 PiB and the run ended in
+        # a traceback.
+        out = tmp_path / "r.json"
+        assert run("prune", matrix_6x8, "-p", 2, "--restarts", 10**15,
+                   "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "limit" in err
+        assert not out.exists()
+
 
 class TestOracle:
     def test_planted_gap_zero(self, planted_8x8, tmp_path):
@@ -294,6 +304,16 @@ class TestSimulate:
         elapsed = time.perf_counter() - start
         assert 0.0 < read_json(report)["speedup"] < 20000
         assert elapsed < 10.0, f"20000 copies took {elapsed:.2f} s"
+
+    def test_copies_above_the_cap_exit_2_quickly(self, capsys):
+        # Uncapped, 10**14 copies built one job each and never returned.
+        start = time.perf_counter()
+        for copies in (cli.MAX_SIMULATE_COPIES + 1, 10**14):
+            assert run("simulate", "--mode", "scaling", "--copies", copies) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert f"limit of {cli.MAX_SIMULATE_COPIES}" in err
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("copies", [0, -1])
     def test_no_copies_exits_2(self, capsys, copies):

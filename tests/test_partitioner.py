@@ -15,6 +15,7 @@ from blockprune.core import (
 )
 from blockprune.generate import blockdiag_matrix, planted_assignment, uniform_matrix
 from blockprune.partitioner import (
+    MAX_RESTART_LABELS,
     OracleBudgetError,
     brute_force_partition,
     greedy_partition,
@@ -168,6 +169,17 @@ class TestMultiRestart:
         with pytest.raises(ValueError, match="restarts"):
             multi_restart(w, 2, restarts=0, seed=0)
 
+    def test_restarts_above_the_label_limit_rejected_before_allocating(self):
+        # The benchmark's largest searches stay well inside the limit.
+        assert 256 * (8 + 8) <= MAX_RESTART_LABELS
+        assert 32 * (4096 + 4096) <= MAX_RESTART_LABELS
+        w = uniform_matrix(8, 8, seed=0)
+        for restarts in (MAX_RESTART_LABELS // 16 + 1, 10**15):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="limit"):
+                multi_restart(w, 2, restarts=restarts, seed=0)
+            assert time.perf_counter() - start < 0.1
+
     def test_deterministic_across_calls(self):
         w = uniform_matrix(9, 9, seed=6)
         a = multi_restart(w, 3, restarts=12, seed=77)
@@ -230,8 +242,10 @@ class TestRefineSwaps:
         assert refine_swaps(w, base) is base
 
     def test_25_passes_at_256_within_a_second(self):
-        # About 40 ms with the array scan; a Python loop over every node
-        # pair takes 1.3-1.9 s on the same machine.
+        # About 10 ms when a pass scores only the pairs that can win, and
+        # 35 ms scoring every cross-partition pair in array blocks; a
+        # Python loop over every node pair takes 1.3-1.9 s on the same
+        # machine.
         w = uniform_matrix(256, 256, seed=5)
         base = greedy_partition(w, 4, seed=5)
         start = time.perf_counter()
@@ -241,6 +255,18 @@ class TestRefineSwaps:
         fewer = refine_swaps(w, base, max_passes=24)
         assert refined.weight_loss < fewer.weight_loss < base.weight_loss
         assert elapsed < 1.0, f"25 refine passes at 256x256 took {elapsed:.2f} s"
+
+    def test_20_passes_at_2048_within_0_7_seconds(self):
+        # About 0.2 s on a 2-vCPU Xeon, most of it the gain GEMM of each
+        # pass; scoring every cross-partition pair took about 1.1 s.
+        w = uniform_matrix(2048, 2048, seed=5)
+        base = greedy_partition(w, 4, seed=5)
+        start = time.perf_counter()
+        refined = refine_swaps(w, base, max_passes=20)
+        elapsed = time.perf_counter() - start
+        fewer = refine_swaps(w, base, max_passes=19)
+        assert refined.weight_loss < fewer.weight_loss < base.weight_loss
+        assert elapsed < 0.7, f"20 refine passes at 2048x2048 took {elapsed:.2f} s"
 
 
 class TestOracle:

@@ -26,6 +26,12 @@ estimate.
 `reference_refine_swaps` is the earlier refinement, kept as it was: a
 Python loop over every pair of rows and every pair of columns on each
 pass. `refine_swaps` must apply the same swap sequence.
+
+`reference_best_swap` is the swap scan that scored every cross-partition
+pair, one array block per ordered partition pair. `_best_swap` scores
+only the pairs its separable bound admits, and must return the same
+(gain, i, j) on gains of any kind, and make the same swaps inside
+`refine_swaps`.
 """
 
 import math
@@ -35,6 +41,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
+from blockprune import partitioner
 from blockprune.core import (
     PartitionAssignment,
     PruneResult,
@@ -50,6 +57,7 @@ from blockprune.partitioner import (
     OracleBudgetError,
     OracleResult,
     _abs_weights,
+    _best_swap,
     _check_p,
     _construct,
     _labeled_splits,
@@ -286,6 +294,38 @@ def reference_refine_swaps(
     )
     # Guard against float drift in the gain bookkeeping: never get worse.
     return refined if refined.weight_loss <= result.weight_loss else result
+
+
+def reference_best_swap(gain: np.ndarray, labels: np.ndarray, p: int) -> tuple:
+    """(gain, i, j) of the best swap of two nodes on one side.
+
+    gain[i, k] is the retained weight of node i if it lived in partition
+    k. Swapping nodes i < j of partitions a != b gains
+    ((gain[i, b] + gain[j, a]) - gain[i, a]) - gain[j, b], evaluated in
+    that order. The best is the largest positive gain, ties to the lowest
+    (i, j); with no positive gain the result is (0.0, -1, -1). Each
+    ordered partition pair (a, b) is one block of pairs: its nodes are in
+    index order, so the first maximum in the block is its lowest (i, j).
+    """
+    members = [np.flatnonzero(labels == k) for k in range(p)]
+    best = (0.0, -1, -1)
+    for a, ia in enumerate(members):
+        ga = gain[ia]
+        for b, ib in enumerate(members):
+            if a == b or not (len(ia) and len(ib)):
+                continue
+            gb = gain[ib]
+            g = ga[:, b, None] + gb[:, a]
+            g -= ga[:, a, None]
+            g -= gb[:, b]
+            g[ia[:, None] > ib] = 0.0  # the pair belongs to block (b, a)
+            np.fmax(g, 0.0, out=g)  # a NaN gain never wins
+            k = int(np.argmax(g))
+            top = float(g.flat[k])
+            i, j = int(ia[k // len(ib)]), int(ib[k % len(ib)])
+            if top > best[0] or (top == best[0] > 0.0 and (i, j) < best[1:]):
+                best = (top, i, j)
+    return best
 
 
 def _grouping_count(n: int, caps: tuple) -> int:
@@ -598,6 +638,86 @@ def test_refine_overflowing_gains_never_win():
             base = result_from_assignment(w, balanced_start(12, 10, p, p),
                                           seed=0, restarts=1)
             assert_same_refinement(w, base, 50)
+
+
+SWAP_KINDS = ["uniform", "integer_ties", "all_equal", "mixed_magnitudes",
+              "tiny", "ulp_apart", "non_finite", "empty_partition"]
+
+
+def swap_case(kind, n, p, seed):
+    """Seeded (gain, labels) for one _best_swap call."""
+    rng = np.random.default_rng([n, p, seed, SWAP_KINDS.index(kind)])
+    labels = rng.integers(0, p, n)
+    if kind == "uniform":
+        gain = rng.uniform(0.0, 10.0, (n, p))
+    elif kind == "integer_ties":
+        gain = rng.integers(0, 4, (n, p)).astype(np.float64)
+    elif kind == "all_equal":
+        gain = np.full((n, p), 3.0)
+    elif kind == "mixed_magnitudes":
+        # 1e15 next to 1: sums round at 1/8, far above the small gains.
+        gain = np.where(rng.random((n, p)) < 0.5, 1e15, 0.0)
+        gain += rng.integers(0, 3, (n, p)) + rng.uniform(0.0, 1.0, (n, p))
+    elif kind == "tiny":
+        # Subnormal gains: the margin itself rounds.
+        gain = rng.uniform(0.0, 1e-310, (n, p))
+    elif kind == "ulp_apart":
+        x = 0.7 if seed % 2 else 1e3
+        gain = x + rng.integers(-2, 3, (n, p)) * np.spacing(x)
+    elif kind == "non_finite":
+        gain = rng.uniform(0.0, 10.0, (n, p))
+        special = np.array([np.nan, np.inf, -np.inf])
+        hit = rng.random((n, p)) < 0.15
+        gain[hit] = special[rng.integers(0, 3, hit.sum())]
+    else:  # one partition, not always the last, has no nodes
+        gain = rng.uniform(0.0, 10.0, (n, p))
+        gone = int(rng.integers(0, p))
+        labels = np.where(labels == gone, (gone + 1) % p, labels)
+    return gain, labels
+
+
+@pytest.mark.parametrize("kind", SWAP_KINDS)
+def test_best_swap_matches_full_scan(kind):
+    won = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(2, 9):
+            for n in (1, 2, 3, 9, 40):
+                for seed in range(6):
+                    gain, labels = swap_case(kind, n, p, seed)
+                    want = reference_best_swap(gain, labels, p)
+                    assert _best_swap(gain, labels, p) == want, (kind, n, p, seed)
+                    won += want[1] >= 0
+    # Every kind but the all-equal gains makes swaps that gain.
+    assert won > 0 or kind == "all_equal"
+
+
+def test_best_swap_keeps_a_winner_that_rounds_low():
+    # Found by a search over gains near 2**52, where every sum rounds. The
+    # winner's block bound and node limits fall short by 3.3 eps max|gain|:
+    # a margin of 3 eps drops it and returns a worse swap.
+    gain = np.array([[3377699720527886, 13510798882111500],
+                     [7881299347898356, 13510798882111492],
+                     [3377699720527887, 11],
+                     [7881299347898419, 3377699720527880],
+                     [3377699720527876, 13510798882111498],
+                     [9007199254740991, 26]], dtype=np.float64)
+    labels = np.arange(6) % 2
+    want = reference_best_swap(gain, labels, 2)
+    assert want[1] >= 0
+    assert _best_swap(gain, labels, 2) == want
+
+
+@pytest.mark.parametrize("k", [1, 5, 20])
+def test_k_passes_at_1024_match_the_full_scan(k, monkeypatch):
+    w = corpus_matrix(1024, 1024, "uniform")
+    base = greedy_partition(w, 4, seed=k)
+    got = refine_swaps(w, base, max_passes=k)
+    monkeypatch.setattr(partitioner, "_best_swap", reference_best_swap)
+    want = refine_swaps(w, base, max_passes=k)
+    assert want.weight_loss < base.weight_loss
+    assert (got.assignment.row_of == want.assignment.row_of).all()
+    assert (got.assignment.col_of == want.assignment.col_of).all()
+    assert got.weight_loss == want.weight_loss
 
 
 ORACLE_SHAPES = [(rows, cols, p) for rows in range(1, 9) for cols in range(1, 9)
