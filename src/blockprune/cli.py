@@ -36,16 +36,23 @@ EXIT_BUDGET = 3
 # Trials per batched product in verify; bounds its memory for any --trials.
 VERIFY_CHUNK = 128
 
+# Most work verify accepts: trials * (rows * cols + VERIFY_TRIAL_COST).
+# A trial costs about 0.11 ns per entry of the layer plus about 0.5 us
+# (4096 entries' worth) on a 2-vCPU Xeon with one BLAS thread, so at the
+# cap a 4096 x 4096 layer (4095 trials) or a 2 x 2 one (16.8 million
+# trials) takes 7-10 s.
+MAX_VERIFY_WORK = 1 << 36
+VERIFY_TRIAL_COST = 4096
+
 # Most accelerators calibrate accepts, summed over its targets. Every
-# candidate of the fit simulates each target's copies, so the cost grows
-# with the sum; at this cap the slowest target lists tried take about 5 s.
+# batch of fit candidates runs each target's copies, so the cost grows
+# with the sum; at this cap the slowest target lists tried take 0.01-0.07 s
+# past the command's start-up.
 MAX_CALIBRATE_COPIES = 512
 
-# Most accelerators simulate --mode scaling accepts. It builds one job per
-# copy and simulates them once, where calibrate simulates every copy once
-# per fit candidate, so its cap is higher: 65,536 copies take about 1 s
-# and 52 MB on a 2-vCPU Xeon.
-MAX_SIMULATE_COPIES = 1 << 16
+# Most accelerators simulate --mode scaling accepts, the most jobs
+# perfmodel builds into one workload.
+MAX_SIMULATE_COPIES = perfmodel.MAX_WORKLOAD_JOBS
 
 
 def _emit(args, payload: dict, human: str):
@@ -145,6 +152,11 @@ def cmd_verify(args) -> int:
         raise ValueError(f"tolerance must be positive and finite, got {args.tolerance}")
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
+    limit = MAX_VERIFY_WORK // (weights.rows * weights.cols + VERIFY_TRIAL_COST)
+    if args.trials > limit:
+        raise ValueError(
+            f"--trials is more than the limit of {limit} "
+            f"for a {weights.rows}x{weights.cols} layer")
     # read_assignment matched the dimensions and balance is checked above.
     decomp = blockexec._split_blocks(weights, assignment)
     mask = mask_of(assignment)
@@ -184,10 +196,6 @@ def _load_config(path) -> SimConfig:
 
 
 def cmd_simulate(args) -> int:
-    if args.mode == "scaling" and args.copies > MAX_SIMULATE_COPIES:
-        raise ValueError(
-            f"--copies {args.copies} is more than the limit of {MAX_SIMULATE_COPIES}"
-        )
     config = _load_config(args.config)
     base = perfmodel.simulate(
         config, perfmodel.baseline_workload(args.rows, args.cols)
@@ -222,7 +230,8 @@ def cmd_simulate(args) -> int:
             perfmodel.ensure_capacity(config, k),
             perfmodel.replicated_workload(args.rows, args.cols, k),
         )
-        speedup = perfmodel.per_copy_speedup(k, base, multi)
+        speedup = perfmodel.per_copy_speedup(
+            k, base.makespan_cycles, multi.makespan_cycles)
         payload["copies"] = k
         payload["run"] = multi.to_dict()
         payload["speedup"] = speedup

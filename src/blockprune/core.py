@@ -227,7 +227,7 @@ def partition_capacities(n: int, p: int) -> tuple:
         raise ValueError("partition count must be >= 1")
     if p > n:
         raise ValueError(f"more partitions than nodes: p={p} > n={n}")
-    hi, lo = math.ceil(n / p), math.floor(n / p)
+    hi, lo = -(-n // p), n // p
     k = n % p
     return (hi,) * k + (lo,) * (p - k)
 

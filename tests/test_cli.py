@@ -57,6 +57,14 @@ class TestGen:
         assert run("gen", "--rows", 4, "--cols", 4, "--dist", "nope",
                    "--out", tmp_path / "x.bpwm", "--quiet") == 2
 
+    def test_huge_blockdiag_layer_exits_2(self, tmp_path, capsys):
+        # The balanced capacities once divided in floats and ended in an
+        # OverflowError traceback.
+        assert run("gen", "--rows", 10**400, "--cols", 4, "--dist",
+                   "blockdiag:2", "--out", tmp_path / "x.bpwm") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestPrune:
     def test_ratio_half_for_p2(self, matrix_6x8, tmp_path, capsys):
@@ -262,6 +270,27 @@ class TestVerify:
                 for _ in range(7 * 6)]
         assert np.concatenate(seen).ravel().tolist() == want
 
+    def test_trials_above_the_cap_exit_2_quickly(self, matrix_6x8, tmp_path,
+                                                 capsys):
+        # Unbounded, --trials 10**400 looped over chunks of 128 trials
+        # until it was killed.
+        res = tmp_path / "r.json"
+        run("prune", matrix_6x8, "-p", 2, "--out", res, "--quiet")
+        limit = cli.MAX_VERIFY_WORK // (6 * 8 + cli.VERIFY_TRIAL_COST)
+        start = time.perf_counter()
+        for trials in (limit + 1, 10**400):
+            assert run("verify", matrix_6x8, res, "--trials", trials) == 2
+            captured = capsys.readouterr()
+            assert "PASS" not in captured.out
+            assert captured.err.startswith("error:")
+            assert f"limit of {limit} for a 6x8 layer" in captured.err
+        assert time.perf_counter() - start < 1.0
+
+    def test_trial_cap_admits_the_benchmark_counts(self):
+        # 100 trials at 2048 x 2048, and 4095 at the paper's 4096 x 4096.
+        for n, trials in ((2048, 100), (4096, 4095)):
+            assert trials * (n * n + cli.VERIFY_TRIAL_COST) <= cli.MAX_VERIFY_WORK
+
     def test_dim_mismatch_exits_2(self, matrix_6x8, tmp_path):
         other = tmp_path / "other.bpwm"
         run("gen", "--rows", 5, "--cols", 5, "--seed", 9, "--out", other,
@@ -315,6 +344,26 @@ class TestSimulate:
             assert f"limit of {cli.MAX_SIMULATE_COPIES}" in err
         assert time.perf_counter() - start < 1.0
 
+    def test_partitions_above_the_cap_exit_2_quickly(self, capsys):
+        n = cli.MAX_SIMULATE_COPIES + 1
+        start = time.perf_counter()
+        assert run("simulate", "-p", n, "--rows", n, "--cols", n) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"limit of {cli.MAX_SIMULATE_COPIES}" in err
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ("-p", 3, "--rows", 10**400, "--cols", 4),
+        ("--mode", "scaling", "--copies", 3, "--rows", 4, "--cols", 10**400),
+    ])
+    def test_layer_too_large_for_a_float_exits_2(self, capsys, argv):
+        # Once an OverflowError traceback from `bytes / bandwidth`.
+        assert run("simulate", *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite float" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("copies", [0, -1])
     def test_no_copies_exits_2(self, capsys, copies):
         assert run("simulate", "--mode", "scaling", "--copies", copies,
@@ -352,6 +401,13 @@ class TestCalibrate:
                    "--quiet") == 2
         d = read_json(out)
         assert d["calibration"]["converged"] is False
+
+    @pytest.mark.parametrize("dim", ["--rows", "--cols"])
+    def test_layer_too_large_for_a_float_exits_2(self, capsys, dim):
+        assert run("calibrate", "--targets", "2=1.8", dim, 10**400) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite float" in err
+        assert "Traceback" not in err
 
     def test_bad_target_spec_exits_2(self):
         assert run("calibrate", "--targets", "nonsense", "--quiet") == 2

@@ -109,6 +109,12 @@ class TestCapacities:
         assert partition_capacities(10, 3) == (4, 3, 3)
         assert partition_capacities(8, 2) == (4, 4)
 
+    def test_exact_beyond_float_range(self):
+        # Float division overflowed above 1.8e308 and rounded above 2**53.
+        n = 10**400 + 1
+        assert partition_capacities(n, 3) == (n // 3 + 1, n // 3 + 1, n // 3)
+        assert partition_capacities(2**53 + 1, 1) == (2**53 + 1,)
+
     def test_more_partitions_than_nodes(self):
         with pytest.raises(ValueError, match="more partitions than nodes"):
             partition_capacities(3, 4)

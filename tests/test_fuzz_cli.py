@@ -1,10 +1,11 @@
 """Fuzz the command line: any input ends in exit 0, 2 or 3, never a traceback.
 
-Arguments take edge values (zero, negative, non-finite, 2**64), and the
-matrix, result and config files are valid, truncated, garbage (random
-bytes, or JSON nested too deeply to parse), missing, or valid JSON with
-one field replaced by an arbitrary JSON value. Sizes
-stay tiny so every example runs in milliseconds.
+Arguments take edge values (zero, negative, non-finite, 2**64, and
+layer sizes and trial counts of 10**400), and the matrix, result and
+config files are valid, truncated, garbage (random bytes, or JSON nested
+too deeply to parse), missing, or valid JSON with one field replaced by
+an arbitrary JSON value. Sizes stay tiny so every example runs in
+milliseconds.
 """
 
 import contextlib
@@ -18,6 +19,8 @@ from hypothesis import strategies as st
 from blockprune.cli import main
 
 INTS = st.sampled_from(["-1", "0", "1", "2", "3", "7"])
+DIMS = st.sampled_from(["-1", "0", "1", "2", "3", "7", str(10**400)])
+TRIALS = st.sampled_from(["-1", "0", "1", "7", str(10**400)])
 SEEDS = st.sampled_from(["-1", "0", "5", str(2**64 + 1)])
 TOLERANCES = st.sampled_from(["-1", "0", "1e-300", "1e-5", "inf", "nan"])
 TARGETS = st.sampled_from(
@@ -82,7 +85,7 @@ def command(draw, work):
     name = draw(st.sampled_from(
         ["gen", "prune", "oracle", "verify", "simulate", "calibrate"]))
     if name == "gen":
-        return ["gen", "--rows", draw(INTS), "--cols", draw(INTS),
+        return ["gen", "--rows", draw(DIMS), "--cols", draw(DIMS),
                 "--dist", draw(DISTS), "--seed", draw(SEEDS),
                 "--out", str(work / "out.bpwm")]
     if name == "prune":
@@ -99,11 +102,11 @@ def command(draw, work):
         return argv + out
     if name == "verify":
         return ["verify", draw(input_file(work, "matrix")),
-                draw(input_file(work, "result")), "--trials", draw(INTS),
+                draw(input_file(work, "result")), "--trials", draw(TRIALS),
                 "--tolerance", draw(TOLERANCES), "--seed", draw(SEEDS)] + out
     config = ["--config", draw(input_file(work, "config"))] if draw(
         st.booleans()) else []
-    dims = ["--rows", draw(INTS), "--cols", draw(INTS)]
+    dims = ["--rows", draw(DIMS), "--cols", draw(DIMS)]
     if name == "simulate":
         return ["simulate", *config, *dims, "-p", draw(INTS),
                 "--mode", draw(st.sampled_from(["partition", "scaling"])),

@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 
 import pytest
@@ -120,6 +121,56 @@ class TestSimulate:
         assert rep.makespan_cycles == 0.0
         assert rep.energy_total_pj == 0.0
 
+    @pytest.mark.parametrize("job", [
+        Job(0, 1, 10**400, 4),  # bytes and MACs
+        Job(0, 10**200, 1, 10**200),  # MACs alone
+    ])
+    def test_job_too_large_for_a_float_is_rejected(self, job):
+        # Once an OverflowError from `bytes / bandwidth`.
+        with pytest.raises(ValueError, match="do not fit a finite float"):
+            simulate(SimConfig(), [job])
+
+    def test_cycles_too_large_for_a_float_are_rejected(self):
+        cfg = replace(SimConfig(), sa_dim=10**308)  # 2s - 2 fill cycles
+        with pytest.raises(ValueError, match="do not fit a finite float"):
+            simulate(cfg, baseline_workload(4, 4))
+
+    def test_overflowing_makespan_is_rejected(self):
+        slow_bus = replace(SimConfig(), bus_bandwidth_bytes_per_cycle=1e-301)
+        with pytest.raises(ValueError, match="makespan does not fit"):
+            simulate(slow_bus, baseline_workload(4096, 4096))
+        with pytest.raises(ValueError, match="makespan does not fit"):
+            simulate(slow_bus, [Job(0, 1, 4096, 4096)] * 2)  # event loop
+
+    def test_fixed_overhead_too_large_for_a_float_is_rejected(self):
+        cfg = replace(SimConfig(), dma_fixed_overhead_cycles=10**400)
+        with pytest.raises(ValueError, match="fit a finite float"):
+            simulate(cfg, baseline_workload(4, 4))
+
+
+class TestWorkloadCap:
+    def test_copies_above_the_cap_are_rejected_quickly(self):
+        # Uncapped, scaling_speedup(SimConfig(), 64, 64, 10**14) built one
+        # job per copy and never returned.
+        start = time.perf_counter()
+        for copies in (perfmodel.MAX_WORKLOAD_JOBS + 1, 10**14):
+            with pytest.raises(ValueError, match="limit of 65536"):
+                replicated_workload(64, 64, copies)
+            with pytest.raises(ValueError, match="limit of 65536"):
+                scaling_speedup(SimConfig(), 64, 64, copies)
+            with pytest.raises(ValueError, match="limit of 65536"):
+                calibrate(SimConfig(), [(copies, 2.0)])
+        assert time.perf_counter() - start < 1.0
+
+    def test_copies_at_the_cap_are_accepted(self):
+        jobs = replicated_workload(4, 4, perfmodel.MAX_WORKLOAD_JOBS)
+        assert len(jobs) == perfmodel.MAX_WORKLOAD_JOBS
+
+    def test_partitions_above_the_cap_are_rejected(self):
+        n = perfmodel.MAX_WORKLOAD_JOBS + 1
+        with pytest.raises(ValueError, match="limit of 65536"):
+            partitioned_workload(n, n, n)
+
 
 class TestPartitionSpeedup:
     def test_p3_beats_p_but_not_p_squared(self):
@@ -179,19 +230,59 @@ class TestCalibrate:
         assert isinstance(err.best_config, SimConfig)
         assert 2 in err.achieved
 
-    def test_simulates_each_distinct_candidate_once(self, monkeypatch):
-        # 688 distinct candidates x 2 targets, plus one baseline per
-        # distinct fixed overhead. Re-simulating every evaluation made
-        # 4,984 calls; the count is deterministic.
+    def test_scores_each_search_step_as_one_batch(self, monkeypatch):
+        # The grid is one batch and each pattern-search round (at most
+        # 240) another, and a batch runs each distinct copy count once,
+        # the one-copy baseline included. Simulating candidate by
+        # candidate made 1,415 simulate calls for these targets.
         calls = []
+        real = perfmodel._first_round
 
-        def counting(*args):
-            calls.append(1)
-            return simulate(*args)
+        def counting(transfer, compute, gamma, fixed):
+            calls.append(len(transfer))
+            return real(transfer, compute, gamma, fixed)
 
-        monkeypatch.setattr(perfmodel, "simulate", counting)
-        calibrate(SimConfig(), [(2, 1.8), (3, 2.5)])
-        assert 0 < len(calls) <= 1450
+        def no_simulate(*args):
+            raise AssertionError("calibrate simulated a candidate alone")
+
+        monkeypatch.setattr(perfmodel, "_first_round", counting)
+        monkeypatch.setattr(perfmodel, "simulate", no_simulate)
+        calibrate(SimConfig(), [(2, 1.8), (3, 2.5), (3, 2.4)])
+        assert sorted(set(calls)) == [1, 2, 3]
+        for copies in (1, 2, 3):
+            assert 0 < calls.count(copies) <= 1 + 240
+
+    def test_batches_split_into_blocks_give_the_same_fit(self, monkeypatch):
+        # A batch above _FIRST_ROUND_ELEMENTS services is scored in blocks
+        # of candidates; blocks of 7 services must not move any bit.
+        targets = [(2, 1.8), (3, 2.5)]
+        whole = calibrate(SimConfig(), targets)
+        monkeypatch.setattr(perfmodel, "_FIRST_ROUND_ELEMENTS", 7)
+        split = calibrate(SimConfig(), targets)
+        assert split == whole
+        assert [x.hex() for x in split.achieved.values()] == [
+            x.hex() for x in whole.achieved.values()]
+
+    @pytest.mark.parametrize("targets", [[(512, 1.0000001)], [(2, 1.01)] * 256],
+                             ids=["512-copies", "256-targets"])
+    def test_slowest_cli_target_lists_within_1_5_s(self, targets):
+        # The largest target lists the CLI accepts (512 accelerators in
+        # total). About 0.07 and 0.01 s; one simulation per candidate
+        # took 4.9 and 5.9 s.
+        start = time.perf_counter()
+        try:
+            calibrate(SimConfig(), targets)
+        except CalibrationError:
+            pass
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.5, f"calibrate took {elapsed:.2f} s"
+
+    def test_overflowing_makespan_is_rejected(self):
+        # Transfers too slow for a float once fitted "converged" with a
+        # NaN speedup: inf / inf.
+        slow_bus = replace(SimConfig(), bus_bandwidth_bytes_per_cycle=1e-301)
+        with pytest.raises(ValueError, match="makespan does not fit"):
+            calibrate(slow_bus, [(2, 1.8)])
 
     def test_rejects_empty_targets(self):
         with pytest.raises(ValueError, match="target"):

@@ -9,12 +9,14 @@ for candidates it has already evaluated. `simulate` and `calibrate` in
 `perfmodel` must give `==` reports and bit-equal fits on seeded corpora.
 """
 
+import functools
 import math
 import random
 from dataclasses import replace
 
 import pytest
 
+from blockprune import perfmodel
 from blockprune.perfmodel import (
     CalibrationError,
     Job,
@@ -291,3 +293,119 @@ def test_calibrate_matches_reference(name, config, targets, rows, cols):
         want_config.contention_overhead.hex())
     if name == "unreachable":
         assert not want_converged
+
+
+def one_round_corpus():
+    """Workloads with at most one job per accelerator: the first-round path.
+
+    The jobs take distinct accelerators in a random order, so they are
+    listed out of accelerator order and, below the accelerator count,
+    leave gaps in the ids; zero jobs is the empty workload.
+    """
+    rng = random.Random(20261018)
+    cases = []
+    for gamma in (0.0, 0.3, 1.7):
+        for fixed in (0, 64, 5000):
+            for accelerators in (1, 2, 3, 5, 8, 16):
+                cfg = replace(
+                    SimConfig(), num_accelerators=accelerators,
+                    contention_overhead=gamma, dma_fixed_overhead_cycles=fixed,
+                    bus_bandwidth_bytes_per_cycle=rng.choice([64.0, 1100.0, 1e9]),
+                    sa_dim=rng.choice([8, 32, 128]),
+                    bytes_per_element=rng.choice([1, 2, 4]))
+                for jobs in sorted({0, 1, rng.randint(1, accelerators),
+                                    accelerators}):
+                    ids = rng.sample(range(accelerators), jobs)
+                    drawn = random_workload(rng, accelerators, jobs)
+                    cases.append((cfg, [replace(job, accelerator=a)
+                                        for job, a in zip(drawn, ids)]))
+    return cases
+
+
+def test_one_round_matches_reference_event_loop(monkeypatch):
+    cases = one_round_corpus()
+    delegated = []
+    real = perfmodel._first_round
+
+    def counting(*args):
+        delegated.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(perfmodel, "_first_round", counting)
+    for cfg, workload in cases:
+        assert simulate(cfg, workload) == reference_simulate(cfg, workload), (
+            cfg, workload)
+    assert len(delegated) == len(cases)
+    ids = [[job.accelerator for job in w] for _, w in cases]
+    assert sum(a != sorted(a) for a in ids) > len(cases) // 4  # out of order
+    assert sum(0 < len(a) < cfg.num_accelerators
+               for (cfg, _), a in zip(cases, ids)) > len(cases) // 4  # gaps
+    assert any(not a for a in ids)
+
+
+# Layer shapes from 7 x 9 up to the paper's 4096 x 4096 stand-in.
+CALIBRATION_SHAPES = [(7, 9), (64, 64), (300, 700), (1000, 3000),
+                      (2048, 2048), (4096, 4096)]
+
+
+def calibration_corpus():
+    """(config, targets, rows, cols) fits of 1-3 targets of 1-12 copies.
+
+    Two cases in five take their targets from a known config, so the fit
+    can meet them; one in five asks for more than linear scaling, which
+    no config gives; the rest draw targets at random. Small copy counts
+    are drawn more often, because the reference fit simulates every
+    candidate in an O(k^2) event loop.
+    """
+    rng = random.Random(20261019)
+    cases = []
+    for i in range(200):
+        rows, cols = rng.choice(CALIBRATION_SHAPES)
+        cfg = replace(SimConfig(),
+                      bus_bandwidth_bytes_per_cycle=rng.choice(
+                          [64.0, 1100.0, 3e4, 1e9]),
+                      sa_dim=rng.choice([8, 32, 128]),
+                      bytes_per_element=rng.choice([1, 2, 4]))
+        counts = [rng.choice([1, 2, 2, 3, 3, 4, 5, 6, 8, 12])
+                  for _ in range(rng.choice([1, 1, 2, 2, 3]))]
+        if len(counts) > 1 and rng.random() < 0.2:
+            counts[-1] = counts[0]  # a duplicate copy count
+        if i % 5 == 4:
+            targets = [(k, k * rng.uniform(1.05, 1.5)) for k in counts]
+        elif i % 5 in (0, 1):
+            truth = replace(cfg, contention_overhead=rng.uniform(0.0, 3.0),
+                            dma_fixed_overhead_cycles=rng.choice(
+                                [0, 64, 1000, 100000]))
+            targets = [(k, reference_scaling_speedup(truth, rows, cols, k))
+                       for k in counts]
+        else:
+            targets = [(k, rng.uniform(0.5, k + 0.5)) for k in counts]
+        cases.append((cfg, targets, rows, cols))
+    return cases
+
+
+def test_calibrate_matches_reference_on_seeded_corpus(monkeypatch):
+    # The reference fit simulates every evaluation again. Within one case
+    # a memo of reference_scaling_speedup, a pure function of frozen
+    # values, returns what a second simulation would and takes most of
+    # the repeats out of this test's run time.
+    memo = functools.lru_cache(maxsize=None)(reference_scaling_speedup)
+    monkeypatch.setitem(globals(), "reference_scaling_speedup", memo)
+    converged = 0
+    for config, targets, rows, cols in calibration_corpus():
+        want = reference_fit(config, targets, rows, cols)
+        memo.cache_clear()
+        try:
+            fit = calibrate(config, targets, rows=rows, cols=cols)
+            got = (fit.config, fit.achieved, fit.max_rel_error, True)
+        except CalibrationError as e:
+            got = (e.best_config, e.achieved, e.max_rel_error, False)
+        case = (config, targets, rows, cols)
+        assert got == want, case
+        assert [x.hex() for x in got[1].values()] == [
+            x.hex() for x in want[1].values()], case
+        assert got[2].hex() == want[2].hex(), case
+        assert got[0].contention_overhead.hex() == (
+            want[0].contention_overhead.hex()), case
+        converged += want[3]
+    assert 60 <= converged <= 140
