@@ -36,9 +36,11 @@ CYCLES_FILL_DRAIN = 2  # pipeline fill + drain, (s - 1) each
 # 23 MB on a 2-vCPU Xeon.
 MAX_WORKLOAD_JOBS = 1 << 16
 
-# Most (candidate x job) services one `_first_round` array holds; a
-# larger batch is split into blocks of candidates.
-_FIRST_ROUND_ELEMENTS = 1 << 20
+# Most accelerators `calibrate` accepts, summed over its targets. Every
+# batch of fit candidates runs each target's copies, so the cost grows
+# with the sum; at this cap the slowest target lists tried take 0.01-0.07 s,
+# and one `_first_round` array holds at most 574 x 512 services (2.35 MB).
+MAX_CALIBRATE_COPIES = 512
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,11 @@ class SimConfig:
         # Written as `not lo < x < inf`, each check also rejects NaN.
         if self.num_accelerators < 1:
             raise ValueError("need at least one accelerator")
+        # No workload holds more jobs, so a further accelerator is never busy.
+        if self.num_accelerators > MAX_WORKLOAD_JOBS:
+            raise ValueError(
+                f"{self.num_accelerators} accelerators is more than the "
+                f"limit of {MAX_WORKLOAD_JOBS}")
         if not 0 < self.accel_clock_hz < math.inf:
             raise ValueError("accelerator clock must be positive and finite")
         if self.sa_dim < 1:
@@ -82,6 +89,11 @@ class SimConfig:
         if not (0 < self.e_mac_pj < math.inf and 0 < self.e_dram_byte_pj < math.inf
                 and 0 < self.p_static_mw < math.inf):
             raise ValueError("energy constants must be positive and finite")
+        # An int passes `x < inf` but may still be too large for a float.
+        for f in fields(self):
+            if (isinstance(f.default, float)
+                    and getattr(self, f.name) > sys.float_info.max):
+                raise ValueError(f"config field {f.name} must fit a finite float")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -135,12 +147,19 @@ class SimReport:
     speedup: float | None = None
     energy_ratio: float | None = None
 
-    def versus(self, baseline: "SimReport") -> "SimReport":
-        """Attach speedup and energy ratio relative to a baseline run."""
+    def versus(self, baseline: "SimReport", copies: int = 1) -> "SimReport":
+        """Attach speedup and energy ratio relative to a baseline run.
+
+        Both are per copy when this run is `copies` replicated jobs and
+        the baseline one of them: ideal scaling has speedup `copies`, and
+        `copies` jobs at the baseline's energy each have ratio 1.
+        """
         return replace(
             self,
-            speedup=baseline.makespan_cycles / self.makespan_cycles,
-            energy_ratio=self.energy_total_pj / baseline.energy_total_pj,
+            speedup=per_copy_speedup(
+                copies, baseline.makespan_cycles, self.makespan_cycles),
+            energy_ratio=self.energy_total_pj / (
+                copies * baseline.energy_total_pj),
         )
 
     def to_dict(self) -> dict:
@@ -177,14 +196,13 @@ def _job_costs(config: SimConfig, jobs: list) -> tuple:
     Returns (transfer, compute, total_bytes, total_macs): the bus time
     bytes/bandwidth of each job before contention and its compute cycles,
     as float lists, and the integer totals the energy model charges.
-    Raises ValueError where these do not fit a finite float, in place of
-    an OverflowError from the arithmetic that would use them.
+    Raises ValueError where a time does not fit a finite float, in place
+    of an OverflowError.
     """
     nbytes = [job.transfer_bytes(config.bytes_per_element) for job in jobs]
     total_bytes = sum(nbytes)
     total_macs = sum(job.macs() for job in jobs)
     try:
-        float(total_bytes), float(total_macs)
         transfer = [b / config.bus_bandwidth_bytes_per_cycle for b in nbytes]
         compute = [float(sa_matmul_cycles(job.m, job.k, job.n, config.sa_dim))
                    for job in jobs]
@@ -207,12 +225,6 @@ def _first_round(transfer, compute, gamma, fixed) -> tuple:
     `fixed` hold the contention and fixed overheads of each candidate;
     an empty workload has a makespan of 0.0.
     """
-    block = max(1, _FIRST_ROUND_ELEMENTS // max(1, len(transfer)))
-    if len(gamma) > block:
-        parts = [_first_round(transfer, compute, gamma[lo:lo + block],
-                              fixed[lo:lo + block])
-                 for lo in range(0, len(gamma), block)]
-        return tuple(np.concatenate(x) for x in zip(*parts))
     transfer = np.asarray(transfer, dtype=float)
     compute = np.asarray(compute, dtype=float)
     gamma = np.asarray(gamma, dtype=float)[:, None]
@@ -266,10 +278,18 @@ def simulate(config: SimConfig, workload: list) -> SimReport:
         raise ValueError("simulated makespan does not fit a finite float")
 
     seconds = makespan / config.accel_clock_hz
-    e_mac = total_macs * config.e_mac_pj
-    e_dram = total_bytes * config.e_dram_byte_pj
-    # mW * s = mJ = 1e9 pJ
-    e_static = config.p_static_mw * 1e9 * seconds * active
+    try:
+        # Exact ints while both factors are ints.
+        e_mac = total_macs * config.e_mac_pj
+        e_dram = total_bytes * config.e_dram_byte_pj
+        # mW * s = mJ = 1e9 pJ
+        e_static = config.p_static_mw * 1e9 * seconds * active
+        e_total = e_mac + e_dram + e_static
+    except OverflowError:  # an int too large for a float
+        e_total = math.inf
+    # The parts are non-negative, so a non-finite part makes the total so.
+    if not math.isfinite(e_total):
+        raise ValueError("simulated energy does not fit a finite float")
 
     return SimReport(
         accel_busy_cycles=tuple(busy),
@@ -278,7 +298,7 @@ def simulate(config: SimConfig, workload: list) -> SimReport:
         energy_mac_pj=e_mac,
         energy_dram_pj=e_dram,
         energy_static_pj=e_static,
-        energy_total_pj=e_mac + e_dram + e_static,
+        energy_total_pj=e_total,
     )
 
 
@@ -373,11 +393,11 @@ def per_copy_speedup(copies, base, multi):
 
 def scaling_speedup(config: SimConfig, rows: int, cols: int, copies: int) -> float:
     """Throughput speedup of k replicated jobs on k accelerators."""
-    base = simulate(ensure_capacity(config, 1), baseline_workload(rows, cols))
+    base = simulate(config, baseline_workload(rows, cols))
     multi = simulate(
         ensure_capacity(config, copies), replicated_workload(rows, cols, copies)
     )
-    return per_copy_speedup(copies, base.makespan_cycles, multi.makespan_cycles)
+    return multi.versus(base, copies).speedup
 
 
 @dataclass(frozen=True)
@@ -407,9 +427,10 @@ def calibrate(
     no candidate needs the event loop. The winner of a batch is its first
     minimum, as a scan in grid or step order with a strict `<` finds it.
 
-    Returns the fitted config, with the speedup achieved for each target
-    count and the max relative error over targets, once that error is
-    within `tolerance`; otherwise raises CalibrationError carrying the
+    The targets may ask for at most MAX_CALIBRATE_COPIES accelerators in
+    total. Returns the fitted config, with the speedup achieved for each
+    target count and the max relative error over targets, once that error
+    is within `tolerance`; otherwise raises CalibrationError carrying the
     best-effort fit.
     """
     if not targets:
@@ -421,8 +442,13 @@ def calibrate(
 
     # One copy is also the single-job baseline, so counts[0] == 1.
     counts = sorted({1} | {copies for copies, _ in targets})
-    times = [_job_costs(config, replicated_workload(rows, cols, k))[:2]
-             for k in counts]
+    workloads = [replicated_workload(rows, cols, k) for k in counts]
+    total = sum(copies for copies, _ in targets)
+    if total > MAX_CALIBRATE_COPIES:
+        raise ValueError(
+            f"targets ask for {total} accelerators in total, more than "
+            f"the limit of {MAX_CALIBRATE_COPIES}")
+    times = [_job_costs(config, jobs)[:2] for jobs in workloads]
     column = [counts.index(k) for k, _ in targets]
     target_copies = np.array([k for k, _ in targets], dtype=float)
     wanted = np.array([float(target) for _, target in targets])

@@ -384,6 +384,53 @@ class TestSimulate:
         cfg.write_text('{"bogus": 1}')
         assert run("simulate", "--config", cfg, "--quiet") == 2
 
+    @pytest.mark.parametrize("field, value", [
+        *[(field, 10**400) for field in (
+            "accel_clock_hz", "contention_overhead",
+            "bus_bandwidth_bytes_per_cycle", "e_mac_pj", "e_dram_byte_pj",
+            "p_static_mw")],
+        ("e_mac_pj", 10**302),
+        ("e_mac_pj", 1e305),
+    ], ids=lambda v: f"10**{len(str(v)) - 1}" if isinstance(v, int) else str(v))
+    def test_config_value_too_large_for_a_float_exits_2(self, tmp_path, capsys,
+                                                        field, value):
+        # Once an OverflowError traceback, or for 1e305 an exit 0 with an
+        # infinite energy and a NaN energy ratio in the report.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        report = tmp_path / "s.json"
+        for mode in ("partition", "scaling"):
+            assert run("simulate", "--config", cfg, "--mode", mode,
+                       "--out", report) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "finite float" in err
+            assert "Traceback" not in err
+            assert not report.exists()
+
+    def test_accelerators_above_the_cap_exit_2_quickly(self, tmp_path, capsys):
+        # Uncapped, 10**7 accelerators took 49 s and wrote 220 MB.
+        cfg = tmp_path / "cfg.json"
+        report = tmp_path / "s.json"
+        for n in (cli.MAX_SIMULATE_COPIES + 1, 10**7):
+            cfg.write_text(json.dumps({"num_accelerators": n}))
+            start = time.perf_counter()
+            assert run("simulate", "--config", cfg, "--rows", 64, "--cols", 64,
+                       "--out", report) == 2
+            assert time.perf_counter() - start < 1.0
+            err = capsys.readouterr().err
+            assert err.startswith("error:")
+            assert f"limit of {cli.MAX_SIMULATE_COPIES}" in err
+            assert not report.exists()
+
+    def test_accelerators_at_the_cap_are_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"num_accelerators": cli.MAX_SIMULATE_COPIES}))
+        report = tmp_path / "s.json"
+        assert run("simulate", "--config", cfg, "--rows", 64, "--cols", 64,
+                   "--out", report, "--quiet") == 0
+        d = read_json(report)
+        assert len(d["baseline"]["accel_busy_cycles"]) == cli.MAX_SIMULATE_COPIES
+
 
 class TestCalibrate:
     def test_writes_fitted_config(self, tmp_path):
@@ -423,6 +470,29 @@ class TestCalibrate:
         assert run("calibrate", "--targets", targets) == 2
         assert time.perf_counter() - start < 1.0
         assert f"limit of {cli.MAX_CALIBRATE_COPIES}" in capsys.readouterr().err
+
+
+def _json_commands(d, matrix):
+    """(name, argv) of each command that writes a report, writing `d / name`."""
+    res = d / "prune.json"
+    return [
+        ("prune", ("prune", matrix, "-p", 2, "--restarts", 4)),
+        ("oracle", ("oracle", matrix, "-p", 2, "--result", res)),
+        ("verify", ("verify", matrix, res, "--trials", 3)),
+        ("simulate", ("simulate", "-p", 3, "--rows", 512, "--cols", 512)),
+        ("scaling", ("simulate", "--mode", "scaling", "--copies", 3)),
+        ("calibrate", ("calibrate", "--targets", "2=1.8,3=2.5")),
+    ]
+
+
+def test_json_prints_exactly_the_out_file(matrix_6x8, tmp_path, capsys):
+    # --json prints the payload --out writes, and nothing else.
+    for name, argv in _json_commands(tmp_path, matrix_6x8):
+        out = tmp_path / f"{name}.json"
+        assert run(*argv, "--json", "--out", out) == 0, name
+        printed = capsys.readouterr().out
+        assert json.loads(printed) == read_json(out), name
+        assert printed == out.read_text(), name
 
 
 VALID_RESULT_6X8 = {

@@ -4,7 +4,7 @@ Arguments take edge values (zero, negative, non-finite, 2**64, and
 layer sizes and trial counts of 10**400), and the matrix, result and
 config files are valid, truncated, garbage (random bytes, or JSON nested
 too deeply to parse), missing, or valid JSON with one field replaced by
-an arbitrary JSON value. Sizes stay tiny so every example runs in
+an arbitrary JSON value, 10**400 and 1e305 among them. Sizes stay tiny so every example runs in
 milliseconds.
 """
 
@@ -32,7 +32,8 @@ DISTS = st.sampled_from(
 )
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 10) | st.text(max_size=3)
-    | st.floats(allow_nan=True, allow_infinity=True),
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([10**400, 1e305]),  # past a float, or a product of one
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=5,

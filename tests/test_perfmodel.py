@@ -172,6 +172,22 @@ class TestWorkloadCap:
             partitioned_workload(n, n, n)
 
 
+class TestVersus:
+    @pytest.mark.parametrize("rows, cols", [(7, 9), (512, 300), (4096, 4096)])
+    def test_per_copy_ratios_match_the_inline_formulas(self, rows, cols):
+        # Per copy: k * base / multi and multi / (k * base), bit for bit.
+        cfg = calibrate(SimConfig(), [(2, 1.8), (3, 2.5)]).config
+        base = simulate(cfg, baseline_workload(rows, cols))
+        for k in range(1, 9):
+            multi = simulate(ensure_capacity(cfg, k),
+                             replicated_workload(rows, cols, k))
+            run = multi.versus(base, k)
+            speedup = k * base.makespan_cycles / multi.makespan_cycles
+            energy = multi.energy_total_pj / (k * base.energy_total_pj)
+            assert run.speedup.hex() == speedup.hex()
+            assert run.energy_ratio.hex() == energy.hex()
+
+
 class TestPartitionSpeedup:
     def test_p3_beats_p_but_not_p_squared(self):
         cfg = calibrate(SimConfig(), [(2, 1.8), (3, 2.5)]).config
@@ -252,16 +268,15 @@ class TestCalibrate:
         for copies in (1, 2, 3):
             assert 0 < calls.count(copies) <= 1 + 240
 
-    def test_batches_split_into_blocks_give_the_same_fit(self, monkeypatch):
-        # A batch above _FIRST_ROUND_ELEMENTS services is scored in blocks
-        # of candidates; blocks of 7 services must not move any bit.
-        targets = [(2, 1.8), (3, 2.5)]
-        whole = calibrate(SimConfig(), targets)
-        monkeypatch.setattr(perfmodel, "_FIRST_ROUND_ELEMENTS", 7)
-        split = calibrate(SimConfig(), targets)
-        assert split == whole
-        assert [x.hex() for x in split.achieved.values()] == [
-            x.hex() for x in whole.achieved.values()]
+    @pytest.mark.parametrize("targets", [[(513, 2.0)], [(2, 1.8), (511, 2.0)]],
+                             ids=["513", "2+511"])
+    def test_copies_above_the_cap_are_rejected_quickly(self, targets):
+        # One accelerator more than the cap, in one target or summed over
+        # two; the cap bounds every batch the fit builds.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="limit of 512"):
+            calibrate(SimConfig(), targets)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("targets", [[(512, 1.0000001)], [(2, 1.01)] * 256],
                              ids=["512-copies", "256-targets"])
@@ -306,6 +321,48 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(contention_overhead=-0.1).validate()
         SimConfig(dma_fixed_overhead_cycles=0).validate()  # zero allowed
+
+    @pytest.mark.parametrize("field", ["accel_clock_hz", "contention_overhead",
+                                       "bus_bandwidth_bytes_per_cycle", "e_mac_pj",
+                                       "e_dram_byte_pj", "p_static_mw"])
+    def test_float_field_too_large_for_a_float_rejected(self, field):
+        # An int passes `x < inf`; once an OverflowError in simulate.
+        cfg = replace(SimConfig(), **{field: 10**400})
+        with pytest.raises(ValueError, match=f"{field} must fit a finite float"):
+            cfg.validate()
+        with pytest.raises(ValueError, match="finite float"):
+            simulate(cfg, baseline_workload(64, 64))
+
+    def test_int_valued_float_fields_accepted(self):
+        cfg = SimConfig(accel_clock_hz=200_000_000, e_mac_pj=5, p_static_mw=50)
+        cfg.validate()
+        rep = simulate(cfg, baseline_workload(64, 64))
+        assert rep.energy_mac_pj == 64 * 64 * 5  # an exact int
+        assert isinstance(rep.energy_mac_pj, int)
+
+    @pytest.mark.parametrize("config", [
+        {"e_mac_pj": 1e305},  # a float product past the largest float
+        {"e_mac_pj": 10**302},  # an exact int product too large to add
+        {"p_static_mw": 1e300},  # 1e9 pJ per mJ
+    ], ids=["float", "int", "static"])
+    def test_energy_too_large_for_a_float_is_rejected(self, config):
+        # e_mac_pj=1e305 once gave an infinite energy and a NaN ratio.
+        cfg = replace(SimConfig(), **config)
+        cfg.validate()
+        with pytest.raises(ValueError, match="energy does not fit a finite float"):
+            simulate(cfg, baseline_workload(4096, 4096))
+
+    def test_macs_too_large_for_a_float_are_rejected(self):
+        # Bytes and cycles fit a float, but not the MACs the energy charges.
+        job = Job(0, 10**154, 100, 10**154)
+        with pytest.raises(ValueError, match="energy does not fit a finite float"):
+            simulate(SimConfig(), [job])
+
+    def test_accelerators_above_the_workload_cap_rejected(self):
+        for n in (perfmodel.MAX_WORKLOAD_JOBS + 1, 10**7, 10**400):
+            with pytest.raises(ValueError, match="limit of 65536"):
+                SimConfig(num_accelerators=n).validate()
+        SimConfig(num_accelerators=perfmodel.MAX_WORKLOAD_JOBS).validate()
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     @pytest.mark.parametrize("field", ["contention_overhead",
