@@ -82,16 +82,16 @@ class SimConfig:
             raise ValueError("bus bandwidth must be positive and finite")
         if self.dma_fixed_overhead_cycles < 0:
             raise ValueError("DMA fixed overhead cannot be negative")
-        if self.dma_fixed_overhead_cycles > sys.float_info.max:
-            raise ValueError("DMA fixed overhead must fit a finite float")
         if not 0 <= self.contention_overhead < math.inf:
             raise ValueError("contention overhead must be finite and non-negative")
         if not (0 < self.e_mac_pj < math.inf and 0 < self.e_dram_byte_pj < math.inf
                 and 0 < self.p_static_mw < math.inf):
             raise ValueError("energy constants must be positive and finite")
-        # An int passes `x < inf` but may still be too large for a float.
+        # An int passes `x < inf` but may still be too large for a float;
+        # the fixed overhead is an int field the bus adds to float times.
         for f in fields(self):
-            if (isinstance(f.default, float)
+            if ((isinstance(f.default, float)
+                 or f.name == "dma_fixed_overhead_cycles")
                     and getattr(self, f.name) > sys.float_info.max):
                 raise ValueError(f"config field {f.name} must fit a finite float")
 
@@ -208,7 +208,7 @@ def _job_costs(config: SimConfig, jobs: list) -> tuple:
                    for job in jobs]
     except OverflowError:
         raise ValueError(
-            "job too large: its bytes, MACs or cycles do not fit a finite float"
+            "job too large: its bytes or cycles do not fit a finite float"
         ) from None
     return transfer, compute, total_bytes, total_macs
 
@@ -442,12 +442,17 @@ def calibrate(
 
     # One copy is also the single-job baseline, so counts[0] == 1.
     counts = sorted({1} | {copies for copies, _ in targets})
-    workloads = [replicated_workload(rows, cols, k) for k in counts]
+    # Build the largest workload alone (it checks the per-workload cap)
+    # and check the total before the rest, which could otherwise hold
+    # billions of jobs over many distinct counts.
+    largest = replicated_workload(rows, cols, counts[-1])
     total = sum(copies for copies, _ in targets)
     if total > MAX_CALIBRATE_COPIES:
         raise ValueError(
             f"targets ask for {total} accelerators in total, more than "
             f"the limit of {MAX_CALIBRATE_COPIES}")
+    workloads = [replicated_workload(rows, cols, k) for k in counts[:-1]]
+    workloads.append(largest)
     times = [_job_costs(config, jobs)[:2] for jobs in workloads]
     column = [counts.index(k) for k, _ in targets]
     target_copies = np.array([k for k, _ in targets], dtype=float)

@@ -462,10 +462,14 @@ class TestCalibrate:
     @pytest.mark.parametrize("targets", [
         f"{cli.MAX_CALIBRATE_COPIES + 1}=2",
         f"2=1.8,{cli.MAX_CALIBRATE_COPIES - 1}=2",
+        pytest.param(",".join(f"{cli.MAX_SIMULATE_COPIES - i}=2"
+                              for i in range(16)), id="distinct"),
     ])
     def test_copies_above_the_cap_exit_2_quickly(self, targets, capsys):
         # One more accelerator than the cap, in one target or summed over
-        # two. Uncapped, 20000=2 fitted for 106 s.
+        # two; or 16 distinct counts near the per-workload cap, which must
+        # be refused before a million jobs are built (about 3 s). Uncapped,
+        # 20000=2 fitted for 106 s.
         start = time.perf_counter()
         assert run("calibrate", "--targets", targets) == 2
         assert time.perf_counter() - start < 1.0

@@ -122,8 +122,8 @@ class TestSimulate:
         assert rep.energy_total_pj == 0.0
 
     @pytest.mark.parametrize("job", [
-        Job(0, 1, 10**400, 4),  # bytes and MACs
-        Job(0, 10**200, 1, 10**200),  # MACs alone
+        Job(0, 1, 10**400, 4),  # bytes and cycles
+        Job(0, 10**200, 1, 10**200),  # compute cycles
     ])
     def test_job_too_large_for_a_float_is_rejected(self, job):
         # Once an OverflowError from `bytes / bandwidth`.
