@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import numpy as np
 
@@ -98,6 +98,20 @@ def _check_p(rows: int, cols: int, p: int):
 def _abs_weights(weights: WeightMatrix) -> np.ndarray:
     """|W| in column-major order, so every column is one contiguous run."""
     return np.abs(weights.data.T, order="C").T
+
+
+def _margin(abs_w: np.ndarray) -> float:
+    """The ranking margin, 1e-6 * max(sum |W|, 1).
+
+    Retained weights are ranked by sums of |W| whose rounding is far
+    below this margin. Raises ValueError when sum |W| overflows: every
+    such sum may then be inf, and no ranking holds.
+    """
+    with np.errstate(over="ignore"):
+        total = float(abs_w.sum())
+    if total == math.inf:
+        raise ValueError("the sum of |W| over the layer overflows a float")
+    return 1e-6 * max(total, 1.0)
 
 
 # Restarts are built in blocks whose temporaries hold at most this many
@@ -270,10 +284,15 @@ def _assign_rest(abs_w, p, order, row_of, col_of, counts, retained):
 
 
 def greedy_partition(weights: WeightMatrix, p: int, seed: int) -> PruneResult:
-    """One full greedy construction from a seeded random row order."""
+    """One full greedy construction from a seeded random row order.
+
+    Raises ValueError when the sum of |W| overflows, as multi_restart does.
+    """
     _check_p(weights.rows, weights.cols, p)
+    abs_w = _abs_weights(weights)
+    _margin(abs_w)  # refuses a layer whose sum of |W| overflows
     seeds = np.array([seed & MASK64], dtype=np.uint64)
-    row_of, col_of, _ = _construct(_abs_weights(weights), p, seeds)
+    row_of, col_of, _ = _construct(abs_w, p, seeds)
     assignment = PartitionAssignment(p=p, row_of=row_of[0], col_of=col_of[0])
     return result_from_assignment(weights, assignment, seed=seed, restarts=1)
 
@@ -290,11 +309,12 @@ def multi_restart(
     Restarts are ranked by the retained weight each construction tracks,
     with no mask built. The canonical `weight_loss` is then computed only
     for restarts whose tracked weight lies within a margin of the best,
-    far wider than any rounding in the tracking, so the kept restart is
-    the one a full exact scoring of every restart would keep.
+    far wider than any rounding in the tracking, and only once for each
+    distinct assignment among them, so the kept restart is the one a full
+    exact scoring of every restart would keep.
 
     Raises ValueError, before allocating, when restarts * (rows + cols)
-    exceeds MAX_RESTART_LABELS.
+    exceeds MAX_RESTART_LABELS, and when the sum of |W| overflows.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -306,14 +326,17 @@ def multi_restart(
         )
     _check_p(weights.rows, weights.cols, p)
     abs_w = _abs_weights(weights)
-    margin = 1e-6 * max(float(abs_w.sum()), 1.0)
+    margin = _margin(abs_w)
     row_of, col_of, tracked = _construct(abs_w, p, stream_array(seed, restarts))
     # Free |W| before the exact pass allocates its own n x n temporaries.
     del abs_w
-    near = [
-        PartitionAssignment(p=p, row_of=row_of[r], col_of=col_of[r])
-        for r in np.flatnonzero(tracked >= tracked.max() - margin)
-    ]
+    # Equal labels lose equal weight, so each distinct assignment is
+    # scored once, as its lowest restart.
+    first = {}
+    for r in np.flatnonzero(tracked >= tracked.max() - margin).tolist():
+        first.setdefault(row_of[r].tobytes() + col_of[r].tobytes(), r)
+    near = [PartitionAssignment(p=p, row_of=row_of[r], col_of=col_of[r])
+            for r in first.values()]
     winner = near[0]
     if len(near) > 1:
         winner = min(near, key=lambda a: weight_loss(weights, mask_of(a)))
@@ -448,35 +471,92 @@ def _split_count(n: int, caps) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
+def _subsets(m: int, cap: int, lead: bool, dtype) -> tuple:
+    """(taken, left): each cap-subset of range(m), and the rest of range(m).
+
+    Subsets come in lexicographic order, one per row, each row ascending.
+    With `lead`, only the subsets holding 0 are made.
+    """
+    if lead:
+        flat = chain.from_iterable((0,) + q for q in combinations(range(1, m), cap - 1))
+    else:
+        flat = chain.from_iterable(combinations(range(m), cap))
+    taken = np.fromiter(flat, dtype=dtype).reshape(-1, cap)
+    keep = np.ones((len(taken), m), dtype=bool)
+    rows = np.arange(len(taken))
+    for col in taken.T:
+        keep[rows, col] = False
+    left = np.broadcast_to(np.arange(m, dtype=dtype), keep.shape)[keep]
+    return taken, left.reshape(len(taken), m - cap)
+
+
 def _labeled_splits(n: int, caps: tuple, unordered: bool = False) -> np.ndarray:
     """All assignments of n items to slots with the given sizes.
 
     Returns an array of shape (count, n) holding the slot index of each
-    item, in a deterministic enumeration order. With `unordered`, slots
-    of equal size are interchangeable and each grouping appears once:
-    consecutive slots of the same size must have increasing minima.
+    item. Slot 0 takes each subset of the items in lexicographic order,
+    and slot s each subset of the items the slots before it left, so the
+    rows come in the order of a depth-first search over the slots. With
+    `unordered`, slots of equal size are interchangeable and each
+    grouping appears once: consecutive slots of the same size must have
+    increasing minima.
+
+    The splits are built one slot at a time, for all of them at once.
+    The items of every slot but the last are kept in the smallest
+    integer type that holds n, and the labels are written at the end.
     """
-    out: list = []
-    labels = np.empty(n, dtype=np.int64)
+    dtype = np.min_scalar_type(n)
+    free = np.arange(n, dtype=dtype)[None, :]  # each split's items left
+    groups = []  # each split's items in every slot so far
+    low = np.full(1, -1)  # each split's smallest item in its last slot
+    for slot, cap in enumerate(caps[:-1]):
+        # Where equal slots run to the end, increasing minima mean that
+        # each of them takes the smallest item left.
+        lead = unordered and all(c == cap for c in caps[slot:])
+        taken, left = _subsets(free.shape[1], cap, lead, dtype)
+        first = free[:, taken[:, 0]]
+        if unordered and slot and cap == caps[slot - 1]:
+            s, k = np.nonzero(first > low[:, None])
+        else:
+            s, k = np.divmod(np.arange(first.size), len(taken))
+        groups = [g[s] for g in groups] + [np.take_along_axis(free[s], taken[k], axis=1)]
+        low = first[s, k]
+        free = np.take_along_axis(free[s], left[k], axis=1)
+    labels = np.full((len(free), n), len(caps) - 1, dtype=np.int64)
+    rows = np.arange(len(free))
+    for slot, items in enumerate(groups):
+        for col in items.T:
+            labels[rows, col] = slot
+    return labels
 
-    def rec(items: tuple, slot: int, prev_min: int):
-        if slot == len(caps):
-            out.append(labels.copy())
-            return
-        for group in combinations(items, caps[slot]):
-            if unordered and slot and caps[slot] == caps[slot - 1] and group[0] <= prev_min:
-                continue
-            labels[list(group)] = slot
-            chosen = set(group)
-            rec(tuple(x for x in items if x not in chosen), slot + 1, group[0])
 
-    rec(tuple(range(n)), 0, -1)
-    splits = np.array(out)
-    # rec refers to itself, so the list would outlive this call until the
-    # cycle collector runs.
-    out.clear()
-    return splits
+@lru_cache(maxsize=None)
+def _row_groupings(rows: int, p: int) -> np.ndarray:
+    """Every unordered grouping of the rows under the balanced capacities.
+
+    Cached, so the array is read-only: every call shares it.
+    """
+    groupings = _labeled_splits(rows, partition_capacities(rows, p), unordered=True)
+    groupings.flags.writeable = False
+    return groupings
+
+
+@lru_cache(maxsize=None)
+def _column_splits(cols: int, p: int) -> tuple:
+    """(splits, index): every column split, and where it reads group sums.
+
+    The splits cover each order of the column capacities, the orders in
+    descending lexicographic order and the splits of each in
+    `_labeled_splits` order. index[j, s] = splits[s, j] * cols + j is
+    the place of split s's column-j group sum in a grouping's (p, cols)
+    sums, flattened. Both arrays are cached and read-only.
+    """
+    caps = partition_capacities(cols, p)
+    seqs = sorted(set(permutations(caps)), reverse=True)
+    splits = np.concatenate([_labeled_splits(cols, seq) for seq in seqs])
+    index = np.ascontiguousarray((splits * cols + np.arange(cols)).T)
+    splits.flags.writeable = index.flags.writeable = False
+    return splits, index
 
 
 def oracle_enumeration_size(rows: int, cols: int, p: int) -> int:
@@ -488,6 +568,45 @@ def oracle_enumeration_size(rows: int, cols: int, p: int) -> int:
     relabelings = math.prod(math.factorial(row_caps.count(c)) for c in set(row_caps))
     seqs = _split_count(p, [col_caps.count(c) for c in set(col_caps)])
     return _split_count(rows, row_caps) // relabelings * seqs * _split_count(cols, col_caps)
+
+
+def _group_sums(abs_w: np.ndarray, groupings: np.ndarray, p: int) -> np.ndarray:
+    """sums[g, k, j]: |W| of column j over the rows of grouping g's group k."""
+    sums = np.zeros((len(groupings), p, abs_w.shape[1]))
+    np.add.at(sums, (np.arange(len(groupings))[:, None], groupings), abs_w)
+    return sums
+
+
+def _table_rows(sums: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The table rows of some groupings: the retained |W| of each split.
+
+    `index` is `_column_splits`'s: index[j, s] picks sums[g, k, j], with
+    k the group of column j under split s. Each entry adds its |W|
+    column by column, from 0.0.
+    """
+    flat = sums.reshape(len(sums), -1)
+    rows = np.zeros((len(sums), index.shape[1]))
+    for at in index:
+        rows += np.take(flat, at, axis=1)
+    return rows
+
+
+def _row_bounds(abs_w: np.ndarray, groupings: np.ndarray, p: int) -> np.ndarray:
+    """bound[g] = sum_j max_k sums[g, k, j], added as a table entry is.
+
+    cumsum adds column by column; from 0.0, as an entry starts, the first
+    addition is exact. The bounds are built over blocks of ceil(G / cols)
+    of the G groupings, so a block's group sums hold about p * G entries.
+    """
+    bound = np.empty(len(groupings))
+    step = -(-len(groupings) // abs_w.shape[1])
+    for lo in range(0, len(groupings), step):
+        sums = _group_sums(abs_w, groupings[lo:lo + step], p)
+        peak = sums[:, 0]
+        for k in range(1, p):  # faster than max(axis=1) on a short axis
+            peak = np.maximum(peak, sums[:, k])
+        bound[lo:lo + step] = np.cumsum(peak, axis=1)[:, -1]
+    return bound
 
 
 def brute_force_partition(
@@ -508,7 +627,27 @@ def brute_force_partition(
     re-evaluated in table order through the same loss function the
     greedy search uses, so the reported optimum compares exactly against
     search results.
+
+    Only the table rows that can hold such a candidate are built (branch
+    and bound over the row groupings). With sums[g, k, j] the |W| of
+    column j over group k of grouping g, bound[g] = sum_j max_k
+    sums[g, k, j] is added column by column from 0.0, as each entry of
+    row g is, from terms no smaller than the entry's. Rounded addition
+    is monotone, so bound[g] is at least every entry of row g, bit for
+    bit. The rows are built in descending order of bound, in batches of
+    1, 2, 4, ... rows, and each batch ends before the first row whose
+    bound lies below the largest entry built so far minus the margin. No
+    row left then can hold a candidate within the margin of the maximum,
+    and building stops. The scan sees the candidates of the built rows
+    in table order: all the candidates, in the order, that a scan of the
+    whole table would see.
+
+    Raises OracleBudgetError when the table has more than `budget`
+    entries, and ValueError for a budget that is not a non-negative
+    integer or a layer whose sum of |W| overflows.
     """
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 0:
+        raise ValueError(f"budget must be a non-negative integer, got {budget!r}")
     rows, cols = weights.rows, weights.cols
     _check_p(rows, cols, p)
     estimate = oracle_enumeration_size(rows, cols, p)
@@ -520,27 +659,44 @@ def brute_force_partition(
         )
 
     abs_w = np.abs(weights.data)
-    groupings = _labeled_splits(rows, partition_capacities(rows, p), unordered=True)
-    col_caps = partition_capacities(cols, p)
-    cap_seqs = sorted(set(permutations(col_caps)), reverse=True)
-    splits = np.concatenate([_labeled_splits(cols, seq) for seq in cap_seqs])
+    margin = _margin(abs_w)
+    groupings = _row_groupings(rows, p)
+    splits, index = _column_splits(cols, p)
 
-    # The table is added column by column, in blocks of groupings, so no
-    # temporary holds more than 1/cols of it.
-    retained = np.zeros((len(groupings), len(splits)))
-    step = -(-len(groupings) // cols)
-    for lo in range(0, len(groupings), step):
-        block = groupings[lo:lo + step]
-        # sums[g, k, j]: |W| of column j over the rows of block[g]'s group k.
-        sums = np.zeros((len(block), p, cols))
-        np.add.at(sums, (np.arange(len(block))[:, None], block), abs_w)
-        for j in range(cols):
-            retained[lo:lo + step] += sums[:, :, j][:, splits[:, j]]
+    bound = _row_bounds(abs_w, groupings, p)
+    # The row of the largest bound comes first, and its best entry rules
+    # out every row whose bound lies below it minus the margin; only the
+    # rows left are sorted by bound, the first of them that row.
+    first = bound.argmax(keepdims=True)
+    table = _table_rows(_group_sums(abs_w, groupings[first], p), index)
+    best = float(table.max())
+    built = [(first, table)]  # (groupings, their table rows), batch by batch
+    order = np.flatnonzero(bound >= best - margin)
+    order = order[np.argsort(-bound[order], kind="stable")]
+    # desc[:n] are the n largest bounds, negated; n = searchsorted(...)
+    # counts the bounds at or above best - margin.
+    desc = -bound[order]  # ascending
+    done = 1
+    while True:
+        stop = min(2 * done + 1, int(np.searchsorted(desc, margin - best, side="right")))
+        if stop <= done:
+            break
+        g = order[done:stop]
+        table = _table_rows(_group_sums(abs_w, groupings[g], p), index)
+        best = max(best, float(table.max()))
+        built.append((g, table))
+        done = stop
 
-    margin = 1e-6 * max(float(abs_w.sum()), 1.0)
+    # Flat indices into the whole table, sorted, are the table order.
+    near = []
+    for g, table in built:
+        r, s = np.nonzero(table >= best - margin)
+        near.append(g[r] * len(splits) + s)
+    near = np.concatenate(near)
+    near.sort()
     best_loss = math.inf
     witness = None
-    for idx in np.flatnonzero(retained >= retained.max() - margin):
+    for idx in near:
         g, s = divmod(int(idx), len(splits))
         assignment = PartitionAssignment(p=p, row_of=groupings[g], col_of=splits[s])
         loss = weight_loss(weights, mask_of(assignment))
@@ -549,5 +705,6 @@ def brute_force_partition(
             witness = assignment
 
     return OracleResult(
-        optimum_loss=best_loss, optimum_assignment=witness, enumerated=retained.size
+        optimum_loss=best_loss, optimum_assignment=witness,
+        enumerated=len(groupings) * len(splits),
     )

@@ -574,6 +574,24 @@ def test_non_finite_calibration_target_exits_2(tmp_path, capsys, targets):
     assert not out.exists()
 
 
+def test_overflowing_layer_exits_2(tmp_path, capsys):
+    # Its sum of |W| is inf, so no candidate was near the best: oracle
+    # ended in an AttributeError and prune in an IndexError, exit 1.
+    big = tmp_path / "big.csv"
+    big.write_text("1e308,1e308,1e308,1e308\n" * 4)
+    small = tmp_path / "small.csv"
+    small.write_text("1e308,1e308\n" * 2)
+    out = tmp_path / "o.json"
+    for argv in [("oracle", big, "-p", 2), ("prune", big, "-p", 2),
+                 ("prune", big, "-p", 2, "--refine"),
+                 ("prune", small, "-p", 1), ("oracle", small, "-p", 1)]:
+        assert run(*argv, "--out", out) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflows" in err, argv
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 def test_commands_rebound_after_the_first_call_are_run(matrix_6x8, monkeypatch):
     # The parser is built once per process; the command is looked up by
     # name on every call, so wrappers installed later still catch it.

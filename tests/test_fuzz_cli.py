@@ -6,6 +6,10 @@ config files are valid, truncated, garbage (random bytes, or JSON nested
 too deeply to parse), missing, or valid JSON with one field replaced by
 an arbitrary JSON value, 10**400 and 1e305 among them. Sizes stay tiny so every example runs in
 milliseconds.
+
+A second test draws the matrix entries themselves: CSV layers of
+entries near +-1.8e308 (whose sum of |W| overflows), subnormals and
+zeros, or of zeros alone, for prune, oracle and verify.
 """
 
 import contextlib
@@ -129,3 +133,55 @@ def test_any_input_exits_0_2_or_3_without_traceback(work, data):
     assert rc in (0, 2, 3), (argv, rc, err.getvalue())
     assert "Traceback" not in err.getvalue(), argv
 
+
+
+ENTRIES = st.sampled_from(
+    ["0", "-0.0", "5e-324", "-5e-324", "2.2250738585072014e-308", "1", "-1",
+     "1e308", "-1e308", "1.7976931348623157e308", "-1.7976931348623157e308",
+     "1.8e308"]  # the last is past a float
+)
+
+
+@st.composite
+def valued_command(draw, work):
+    """prune, oracle or verify on a CSV layer of edge-valued entries."""
+    rows, cols = draw(st.sampled_from([(1, 1), (2, 2), (3, 2), (4, 4), (6, 7)]))
+    if draw(st.booleans()):
+        entries = ["0"] * (rows * cols)
+    else:
+        entries = draw(st.lists(ENTRIES, min_size=rows * cols, max_size=rows * cols))
+    layer = work / "values.csv"
+    layer.write_text("".join(",".join(entries[i * cols:(i + 1) * cols]) + "\n"
+                             for i in range(rows)))
+    p = draw(st.integers(1, min(rows, cols)))
+    out = ["--out", str(work / "out.json")]
+    name = draw(st.sampled_from(["prune", "oracle", "verify"]))
+    if name == "prune":
+        argv = ["prune", str(layer), "-p", str(p), "--restarts", draw(INTS)]
+        if draw(st.booleans()):
+            argv.append("--refine")
+        return argv + out
+    if name == "oracle":
+        return ["oracle", str(layer), "-p", str(p)] + out
+    result = work / "values_result.json"
+    result.write_text(json.dumps({
+        "rows": rows, "cols": cols, "p": p, "seed": 0, "restarts": 1,
+        "row_partition": [i % p for i in range(rows)],
+        "col_partition": [j % p for j in range(cols)],
+    }))
+    return ["verify", str(layer), str(result), "--trials", "3"] + out
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_matrix_values_exit_0_2_or_3_without_traceback(work, data):
+    argv = data.draw(valued_command(work))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv + ["--quiet"])
+        except SystemExit as e:
+            rc = e.code
+    assert rc in (0, 2, 3), (argv, rc, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

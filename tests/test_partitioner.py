@@ -321,6 +321,21 @@ class TestOracle:
         assert elapsed < 1.0, f"refusing p=11 took {elapsed:.2f} s"
         assert oracle_enumeration_size(40, 40, 40) == math.factorial(40)
 
+    @pytest.mark.parametrize("budget", [float("nan"), 2.5, True, -1, "100"])
+    def test_budget_must_be_a_non_negative_integer(self, budget):
+        # A NaN budget once ran with no limit: estimate > nan is false.
+        w = uniform_matrix(4, 4, seed=0)
+        with pytest.raises(ValueError, match="budget") as exc:
+            brute_force_partition(w, 2, budget=budget)
+        assert not isinstance(exc.value, OracleBudgetError)
+
+    def test_integer_budgets_are_accepted(self):
+        w = uniform_matrix(4, 4, seed=0)
+        size = oracle_enumeration_size(4, 4, 2)
+        assert brute_force_partition(w, 2, budget=np.int64(size)).enumerated == size
+        with pytest.raises(OracleBudgetError):
+            brute_force_partition(w, 2, budget=0)
+
     def test_unequal_side_pairings_explored(self):
         # 3x4 with p=2: row caps (2,1), col caps (2,2). Put all the mass
         # where the single-row group must take one of the 2-column
@@ -332,3 +347,30 @@ class TestOracle:
         w = WeightMatrix(data)
         orc = brute_force_partition(w, 2)
         assert orc.optimum_loss == 0.0
+
+
+class TestOverflow:
+    """A layer whose sum of |W| overflows is refused, not mis-ranked.
+
+    Every margin and tracked weight is then inf, so no candidate was near
+    the best: multi_restart and the oracle ended in tracebacks, and
+    greedy_partition returned an infinite loss.
+    """
+
+    @pytest.mark.parametrize("search", [
+        lambda w, p: greedy_partition(w, p, seed=0),
+        lambda w, p: multi_restart(w, p, restarts=4, seed=0),
+        brute_force_partition,
+    ], ids=["greedy", "multi_restart", "oracle"])
+    @pytest.mark.parametrize("shape,p", [((4, 4), 2), ((2, 2), 1)])
+    def test_overflowing_layer_raises_value_error(self, search, shape, p):
+        w = WeightMatrix(np.full(shape, 1e308))
+        with pytest.raises(ValueError, match="overflows"):
+            search(w, p)
+
+    def test_largest_finite_sum_is_accepted(self):
+        data = np.zeros((4, 4))
+        data[1, 2] = np.finfo(float).max
+        w = WeightMatrix(data)
+        assert brute_force_partition(w, 2).optimum_loss == 0.0
+        assert multi_restart(w, 2, restarts=4, seed=0).weight_loss == 0.0

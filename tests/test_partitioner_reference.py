@@ -23,6 +23,14 @@ in `partitioner` must give a bit-equal optimum, the same witness and the
 same candidate count, and refuse the same instances with the same
 estimate.
 
+`reference_table_oracle` is the oracle that built the whole table of
+row groupings by column splits before its scan, kept as it was. The
+oracle in `partitioner` builds only the rows its bound cannot rule out,
+and must give a bit-equal optimum, the same witness and the same
+candidate count. `reference_labeled_splits` is the recursion that once
+enumerated the splits, one array copy per split; `_labeled_splits` must
+give the same array, bit for bit.
+
 `reference_refine_swaps` is the earlier refinement, kept as it was: a
 Python loop over every pair of rows and every pair of columns on each
 pass. `refine_swaps` must apply the same swap sequence.
@@ -40,6 +48,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockprune import partitioner
 from blockprune.core import (
@@ -59,8 +69,13 @@ from blockprune.partitioner import (
     _abs_weights,
     _best_swap,
     _check_p,
+    _column_splits,
     _construct,
+    _group_sums,
     _labeled_splits,
+    _row_bounds,
+    _row_groupings,
+    _table_rows,
     brute_force_partition,
     greedy_partition,
     multi_restart,
@@ -512,6 +527,14 @@ def test_equal_losses_keep_the_lowest_restart():
 
 
 def edge_matrix(rows, cols, kind):
+    if kind == "decimals":
+        # Equal losses whose sums round apart in different orders, so a
+        # candidate that ties the optimum can rank just below the best.
+        rng = np.random.default_rng([rows, cols])
+        return WeightMatrix(rng.choice([0.1, 0.2, 0.3, 0.6, 0.7], (rows, cols)))
+    if kind == "zeros":
+        # Every candidate ties at zero retained weight.
+        return WeightMatrix(np.zeros((rows, cols)))
     if kind == "ones":
         # Founding scores tie the best open partition's score.
         return WeightMatrix(np.ones((rows, cols)))
@@ -757,3 +780,214 @@ def test_oracle_refuses_as_the_reference_does():
                 oracle(w, p, budget=estimate - 1)
             refused.append(exc.value.estimate)
         assert refused == [estimate, estimate], (rows, cols, p)
+
+
+def reference_labeled_splits(n: int, caps: tuple, unordered: bool = False) -> np.ndarray:
+    """All assignments of n items to slots with the given sizes.
+
+    Returns an array of shape (count, n) holding the slot index of each
+    item, in a deterministic enumeration order. With `unordered`, slots
+    of equal size are interchangeable and each grouping appears once:
+    consecutive slots of the same size must have increasing minima.
+    """
+    out: list = []
+    labels = np.empty(n, dtype=np.int64)
+
+    def rec(items: tuple, slot: int, prev_min: int):
+        if slot == len(caps):
+            out.append(labels.copy())
+            return
+        for group in combinations(items, caps[slot]):
+            if unordered and slot and caps[slot] == caps[slot - 1] and group[0] <= prev_min:
+                continue
+            labels[list(group)] = slot
+            chosen = set(group)
+            rec(tuple(x for x in items if x not in chosen), slot + 1, group[0])
+
+    rec(tuple(range(n)), 0, -1)
+    splits = np.array(out)
+    # rec refers to itself, so the list would outlive this call until the
+    # cycle collector runs.
+    out.clear()
+    return splits
+
+
+def reference_table_oracle(
+    weights: WeightMatrix, p: int, budget: int = DEFAULT_ORACLE_BUDGET
+) -> OracleResult:
+    """Exact minimizer of the pruning loss over all balanced assignments.
+
+    Enumerates every unordered row grouping with the balanced capacity
+    multiset, every assignment of columns to capacity slots, and every
+    pairing of row capacities with column capacities (so a smaller row
+    group may share a partition with a larger column group). Each
+    distinct mask is examined exactly once.
+
+    The candidates form one table: row g is a row grouping, column s a
+    column split, over every order of the column capacities, and the
+    entry is the candidate's retained |W|. Every candidate within a
+    margin of the table's maximum, far wider than rounding, is then
+    re-evaluated in table order through the same loss function the
+    greedy search uses, so the reported optimum compares exactly against
+    search results.
+    """
+    rows, cols = weights.rows, weights.cols
+    _check_p(rows, cols, p)
+    estimate = oracle_enumeration_size(rows, cols, p)
+    if estimate > budget:
+        raise OracleBudgetError(
+            f"instance too large for oracle: about {estimate} candidate "
+            f"assignments exceed the budget of {budget}",
+            estimate=estimate,
+        )
+
+    abs_w = np.abs(weights.data)
+    groupings = _labeled_splits(rows, partition_capacities(rows, p), unordered=True)
+    col_caps = partition_capacities(cols, p)
+    cap_seqs = sorted(set(permutations(col_caps)), reverse=True)
+    splits = np.concatenate([_labeled_splits(cols, seq) for seq in cap_seqs])
+
+    # The table is added column by column, in blocks of groupings, so no
+    # temporary holds more than 1/cols of it.
+    retained = np.zeros((len(groupings), len(splits)))
+    step = -(-len(groupings) // cols)
+    for lo in range(0, len(groupings), step):
+        block = groupings[lo:lo + step]
+        # sums[g, k, j]: |W| of column j over the rows of block[g]'s group k.
+        sums = np.zeros((len(block), p, cols))
+        np.add.at(sums, (np.arange(len(block))[:, None], block), abs_w)
+        for j in range(cols):
+            retained[lo:lo + step] += sums[:, :, j][:, splits[:, j]]
+
+    margin = 1e-6 * max(float(abs_w.sum()), 1.0)
+    best_loss = math.inf
+    witness = None
+    for idx in np.flatnonzero(retained >= retained.max() - margin):
+        g, s = divmod(int(idx), len(splits))
+        assignment = PartitionAssignment(p=p, row_of=groupings[g], col_of=splits[s])
+        loss = weight_loss(weights, mask_of(assignment))
+        if loss < best_loss:
+            best_loss = loss
+            witness = assignment
+
+    return OracleResult(
+        optimum_loss=best_loss, optimum_assignment=witness, enumerated=retained.size
+    )
+
+
+def compositions(n: int):
+    """Every tuple of positive sizes that sums to n."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first,) + rest
+
+
+def test_labeled_splits_match_the_recursion():
+    # The recursion takes about 10 us a split, so the sizes whose
+    # enumeration is largest (many slots of one item at n = 8 and 9) are
+    # left out; every slot structure still occurs at smaller n.
+    checked = 0
+    for n in range(1, 10):
+        for caps in compositions(n):
+            if _split_count(n, caps) > 5_000:
+                continue
+            for unordered in (False, True):
+                got = _labeled_splits(n, caps, unordered)
+                want = reference_labeled_splits(n, caps, unordered)
+                assert got.dtype == want.dtype, (n, caps, unordered)
+                assert got.shape == want.shape, (n, caps, unordered)
+                assert (got == want).all(), (n, caps, unordered)
+                checked += 1
+    assert checked > 500
+
+
+@pytest.mark.parametrize("kind", KINDS + ["decimals", "ones", "zeros"])
+def test_pruned_oracle_matches_the_full_table(kind):
+    # On all-ones and all-zero layers every candidate of the largest link
+    # count ties the best, so every row is built and those candidates
+    # are scored exactly; those cases stay small to keep the run short.
+    limit = 2_000 if kind in ("ones", "zeros") else 2_000_000
+    checked = 0
+    for rows, cols, p in ORACLE_SHAPES:
+        if oracle_enumeration_size(rows, cols, p) > limit:
+            continue
+        w = edge_matrix(rows, cols, kind)
+        got = brute_force_partition(w, p)
+        want = reference_table_oracle(w, p)
+        case = (rows, cols, p)
+        assert got.optimum_loss == want.optimum_loss, case
+        assert (got.optimum_assignment.row_of == want.optimum_assignment.row_of).all(), case
+        assert (got.optimum_assignment.col_of == want.optimum_assignment.col_of).all(), case
+        assert got.enumerated == want.enumerated, case
+        checked += 1
+    assert checked > 100
+
+
+MAGNITUDES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(1e299, 1e300),
+    st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1e300]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_row_bound_is_at_least_every_entry_of_its_row(data):
+    rows = data.draw(st.integers(1, 8))
+    cols = data.draw(st.integers(1, 6))
+    p = data.draw(st.integers(1, min(rows, cols)))
+    abs_w = np.array(data.draw(st.lists(MAGNITUDES, min_size=rows * cols,
+                                        max_size=rows * cols))).reshape(rows, cols)
+    # Any labelling of the rows, balanced or not, is bounded the same way.
+    groupings = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, p - 1), min_size=rows, max_size=rows),
+        min_size=1, max_size=2 * cols)))
+    _, index = _column_splits(cols, p)
+    bound = _row_bounds(abs_w, groupings, p)
+    table = _table_rows(_group_sums(abs_w, groupings, p), index)
+    assert (table <= bound[:, None]).all()
+
+
+def test_oracle_builds_few_table_rows(monkeypatch):
+    built = []
+    table_rows = partitioner._table_rows
+
+    def counting(sums, index):
+        built.append(len(sums))
+        return table_rows(sums, index)
+
+    w = corpus_matrix(8, 8, "uniform")
+    want = reference_table_oracle(w, 3)
+    monkeypatch.setattr(partitioner, "_table_rows", counting)
+    got = brute_force_partition(w, 3)
+    assert len(_row_groupings(8, 3)) == 280
+    assert 0 < sum(built) <= 28
+    assert got.optimum_loss == want.optimum_loss
+    assert (got.optimum_assignment.row_of == want.optimum_assignment.row_of).all()
+    assert (got.optimum_assignment.col_of == want.optimum_assignment.col_of).all()
+
+
+@pytest.mark.parametrize("kind,p", [("uniform", 4), ("ones", 2)])
+def test_multi_restart_scores_each_distinct_near_assignment_once(kind, p, monkeypatch):
+    w = edge_matrix(8, 8, kind)
+    restarts, seed = 256, 0
+    abs_w = _abs_weights(w)
+    row_of, col_of, tracked = _construct(abs_w, p, stream_array(seed, restarts))
+    near = np.flatnonzero(tracked >= tracked.max() - 1e-6 * max(abs_w.sum(), 1.0))
+    distinct = len(np.unique(np.hstack([row_of[near], col_of[near]]), axis=0))
+    assert len(near) > distinct > 1
+    want = reference_multi_restart(w, p, restarts, seed)
+
+    calls = []
+    loss = partitioner.weight_loss
+
+    def counting(weights, mask):
+        calls.append(mask)
+        return loss(weights, mask)
+
+    monkeypatch.setattr(partitioner, "weight_loss", counting)
+    assert_same(multi_restart(w, p, restarts, seed), want)
+    assert len(calls) == distinct
