@@ -44,8 +44,6 @@ def decompose(
     weights: WeightMatrix, assignment: PartitionAssignment
 ) -> BlockDecomposition:
     """Extract the per-partition weight blocks of a feasible assignment."""
-    if (weights.rows, weights.cols) != (assignment.rows, assignment.cols):
-        raise ValueError("weights and assignment dimensions differ")
     check = validate_assignment(assignment, weights.rows, weights.cols)
     if not check.ok:
         raise ValueError(f"infeasible assignment: {check.first_violation}")

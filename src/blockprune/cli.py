@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import blockexec, generate, matio, perfmodel
-from .core import mask_of, validate_assignment
+from .core import check_int, mask_of, validate_assignment
 from .partitioner import (
     DEFAULT_ORACLE_BUDGET,
     DEFAULT_RESTARTS,
@@ -73,8 +73,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    if args.refine and args.max_passes < 1:
-        raise ValueError("--max-passes must be >= 1 with --refine")
+    if args.refine:
+        check_int(args.max_passes, 1, math.inf, "--max-passes must be >= 1 with --refine")
     weights = matio.read_matrix(args.input)
     result = multi_restart(weights, args.p, args.restarts, args.seed)
     if args.refine:
@@ -147,13 +147,10 @@ def cmd_verify(args) -> int:
 
     if not 0 < args.tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {args.tolerance}")
-    if args.trials < 1:
-        raise ValueError("trials must be >= 1")
     limit = MAX_VERIFY_WORK // (weights.rows * weights.cols + VERIFY_TRIAL_COST)
-    if args.trials > limit:
-        raise ValueError(
-            f"--trials is more than the limit of {limit} "
-            f"for a {weights.rows}x{weights.cols} layer")
+    check_int(args.trials, 1, limit, "trials must be >= 1",
+              above=f"--trials is more than the limit of {limit} "
+                    f"for a {weights.rows}x{weights.cols} layer")
     # read_assignment matched the dimensions and balance is checked above.
     decomp = blockexec._split_blocks(weights, assignment)
     mask = mask_of(assignment)
@@ -168,9 +165,9 @@ def cmd_verify(args) -> int:
         want = blockexec.masked_matvec(weights, mask, x)
         got = blockexec.partitioned_matvec(decomp, x)
         denom = np.maximum(np.abs(want), floor)
-        worst = max(worst, float(np.max(np.abs(got - want) / denom)))
+        worst = float(np.maximum(worst, np.max(np.abs(got - want) / denom)))  # keeps NaN
     passed = worst <= args.tolerance
-    payload["max_rel_error"] = worst
+    payload["max_rel_error"] = worst if math.isfinite(worst) else None  # strict JSON
     payload["passed"] = passed
     status = "PASS" if passed else "FAIL"
     _emit(

@@ -14,9 +14,23 @@ are safe to share across threads. Indices are 0-based throughout.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def check_int(value, lo, hi, message: str, above: str | None = None) -> int:
+    """`value` as an int, if it is an integer in [lo, hi]; numpy integers
+    are, bools are not. Else raises ValueError(`above`) for a value above
+    hi, when `above` is given, and ValueError(`message`) for any other.
+    """
+    # An exact type test: the fast path, and one that no bool passes.
+    if type(value) is not int and not isinstance(value, np.integer) or value < lo:
+        raise ValueError(message)
+    if value > hi:
+        raise ValueError(above or message)
+    return int(value)
 
 
 def _locked(a: np.ndarray) -> np.ndarray:
@@ -84,11 +98,11 @@ class LinkMask:
 
     @classmethod
     def full(cls, rows: int, cols: int) -> "LinkMask":
-        return cls(np.ones((rows, cols), dtype=np.uint8))
+        return cls(np.ones(connectedness_full(rows, cols), np.uint8).reshape(rows, cols))
 
     @classmethod
     def empty(cls, rows: int, cols: int) -> "LinkMask":
-        return cls(np.zeros((rows, cols), dtype=np.uint8))
+        return cls(np.zeros(connectedness_full(rows, cols), np.uint8).reshape(rows, cols))
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +120,8 @@ class PartitionAssignment:
     col_of: np.ndarray
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("partition count must be >= 1")
+        object.__setattr__(
+            self, "p", check_int(self.p, 1, math.inf, "partition count must be >= 1"))
         r = np.array(self.row_of, dtype=np.int64)
         c = np.array(self.col_of, dtype=np.int64)
         if r.ndim != 1 or c.ndim != 1:
@@ -179,9 +193,8 @@ def connectedness(mask: LinkMask) -> int:
 
 def connectedness_full(rows: int, cols: int) -> int:
     """Link count of the unpruned layer: rows * cols."""
-    if rows < 1 or cols < 1:
-        raise ValueError("degenerate layer: dimensions must be >= 1")
-    return rows * cols
+    message = "degenerate layer: dimensions must be >= 1"
+    return check_int(rows, 1, math.inf, message) * check_int(cols, 1, math.inf, message)
 
 
 def connectedness_ratio(mask: LinkMask) -> float:
@@ -223,13 +236,12 @@ def partition_capacities(n: int, p: int) -> tuple:
     The first n % p entries are ceil(n/p), the rest floor(n/p); only the
     multiset is meaningful, the non-increasing order is a canonical form.
     """
-    if p < 1:
-        raise ValueError("partition count must be >= 1")
-    if p > n:
-        raise ValueError(f"more partitions than nodes: p={p} > n={n}")
-    hi, lo = -(-n // p), n // p
-    k = n % p
-    return (hi,) * k + (lo,) * (p - k)
+    p = check_int(p, 1, sys.maxsize, "partition count must be >= 1",
+                  "partition count is more than the largest index")
+    check_int(n, -math.inf, math.inf, "node count must be an integer")
+    n = check_int(n, p, math.inf, f"more partitions than nodes: p={p} > n={n}")
+    lo, k = divmod(n, p)
+    return (lo + 1,) * k + (lo,) * (p - k)
 
 
 def mask_of(assignment: PartitionAssignment) -> LinkMask:
@@ -278,11 +290,8 @@ def validate_assignment(
     n mod p on each side. The first violation found is reported first.
     """
     violations: list = []
-    if assignment.p < 1:
-        violations.append("partition count must be >= 1")
-    else:
-        _check_side(assignment.row_of, rows, assignment.p, "row", violations)
-        _check_side(assignment.col_of, cols, assignment.p, "column", violations)
+    _check_side(assignment.row_of, rows, assignment.p, "row", violations)
+    _check_side(assignment.col_of, cols, assignment.p, "column", violations)
     return ValidationResult(ok=not violations, violations=tuple(violations))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import WeightMatrix, partition_capacities
+from .core import WeightMatrix, check_int, partition_capacities
 from .rng import uniform_array
 
 
@@ -65,8 +65,9 @@ def planted_assignment(rows: int, cols: int, p: int):
 
 def generate(rows: int, cols: int, dist: str, seed: int) -> WeightMatrix:
     """Dispatch on a distribution name: uniform, gauss, or blockdiag:p."""
-    if rows < 1 or cols < 1:
-        raise ValueError("matrix dimensions must be >= 1")
+    for dim in (rows, cols):
+        check_int(dim, 1, np.inf, "matrix dimensions must be >= 1")
+    check_int(seed, -np.inf, np.inf, "seed must be an integer")
     if dist == "uniform":
         return uniform_matrix(rows, cols, seed)
     if dist == "gauss":

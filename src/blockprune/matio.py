@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PartitionAssignment, PruneResult, WeightMatrix, result_from_assignment
+from .core import (
+    PartitionAssignment, PruneResult, WeightMatrix, check_int, result_from_assignment)
 
 MAGIC = b"BPWM"
 VERSION = 1
@@ -141,18 +142,16 @@ def read_assignment(path, weights: WeightMatrix) -> tuple:
     if missing:
         raise ValueError(f"{path}: missing result fields {sorted(missing)}")
     for key in ("rows", "cols", "p", "seed", "restarts"):
-        if type(d[key]) is not int:
-            raise ValueError(f"{path}: {key} must be an integer, got {d[key]!r}")
+        check_int(d[key], -np.inf, np.inf,
+                  f"{path}: {key} must be an integer, got {d[key]!r}")
     if (d["rows"], d["cols"]) != (weights.rows, weights.cols):
         raise ValueError(
             f"{path}: result is for a {d['rows']}x{d['cols']} layer, "
             f"weights are {weights.rows}x{weights.cols}"
         )
     rows, cols, p = d["row_partition"], d["col_partition"], d["p"]
-    if not 1 <= p <= min(d["rows"], d["cols"]):
-        raise ValueError(
-            f"{path}: p={p} out of range [1, {min(d['rows'], d['cols'])}]"
-        )
+    n = min(d["rows"], d["cols"])
+    check_int(p, 1, n, f"{path}: p={p} out of range [1, {n}]")
     if not (isinstance(rows, list) and isinstance(cols, list)):
         raise ValueError(f"{path}: partitions must be JSON arrays")
     if len(rows) != d["rows"] or len(cols) != d["cols"]:

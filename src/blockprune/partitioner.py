@@ -53,6 +53,7 @@ from .core import (
     PartitionAssignment,
     PruneResult,
     WeightMatrix,
+    check_int,
     mask_of,
     partition_capacities,
     result_from_assignment,
@@ -68,6 +69,8 @@ DEFAULT_ORACLE_BUDGET = 10_000_000
 # 1.5 times that many int64s on a square layer: 0.4 GB at the bound. It
 # allows 4096 restarts at 4096 x 4096 and 2 million at 8 x 8.
 MAX_RESTART_LABELS = 1 << 25
+
+_P_RANGE = "partition count {} out of range [1, {}] for a {}x{} layer"
 
 
 class OracleBudgetError(ValueError):
@@ -85,14 +88,6 @@ class OracleResult:
     optimum_loss: float
     optimum_assignment: PartitionAssignment
     enumerated: int
-
-
-def _check_p(rows: int, cols: int, p: int):
-    if p < 1 or p > min(rows, cols):
-        raise ValueError(
-            f"partition count {p} out of range [1, {min(rows, cols)}] "
-            f"for a {rows}x{cols} layer"
-        )
 
 
 def _abs_weights(weights: WeightMatrix) -> np.ndarray:
@@ -288,7 +283,9 @@ def greedy_partition(weights: WeightMatrix, p: int, seed: int) -> PruneResult:
 
     Raises ValueError when the sum of |W| overflows, as multi_restart does.
     """
-    _check_p(weights.rows, weights.cols, p)
+    rows, cols = weights.rows, weights.cols
+    p = check_int(p, 1, min(rows, cols), _P_RANGE.format(p, min(rows, cols), rows, cols))
+    seed = check_int(seed, -math.inf, math.inf, "seed must be an integer")
     abs_w = _abs_weights(weights)
     _margin(abs_w)  # refuses a layer whose sum of |W| overflows
     seeds = np.array([seed & MASK64], dtype=np.uint64)
@@ -316,15 +313,14 @@ def multi_restart(
     Raises ValueError, before allocating, when restarts * (rows + cols)
     exceeds MAX_RESTART_LABELS, and when the sum of |W| overflows.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    labels = restarts * (weights.rows + weights.cols)
-    if labels > MAX_RESTART_LABELS:
-        raise ValueError(
-            f"{restarts} restarts of a {weights.rows}x{weights.cols} layer "
-            f"keep {labels} labels, more than the limit of {MAX_RESTART_LABELS}"
-        )
-    _check_p(weights.rows, weights.cols, p)
+    rows, cols = weights.rows, weights.cols
+    restarts = check_int(restarts, 1, math.inf, "restarts must be >= 1")
+    labels = restarts * (rows + cols)
+    check_int(labels, 1, MAX_RESTART_LABELS,
+              f"{restarts} restarts of a {rows}x{cols} layer keep {labels} "
+              f"labels, more than the limit of {MAX_RESTART_LABELS}")
+    p = check_int(p, 1, min(rows, cols), _P_RANGE.format(p, min(rows, cols), rows, cols))
+    seed = check_int(seed, -math.inf, math.inf, "seed must be an integer")
     abs_w = _abs_weights(weights)
     margin = _margin(abs_w)
     row_of, col_of, tracked = _construct(abs_w, p, stream_array(seed, restarts))
@@ -431,8 +427,9 @@ def refine_swaps(
     row swap leaves the row gains as they are and only the column gains
     are recomputed, and the other way round.
     """
+    max_passes = check_int(max_passes, 0, math.inf, "max_passes must be >= 0")
     p = result.assignment.p
-    if p == 1 or max_passes < 1:
+    if p == 1 or max_passes == 0:
         return result
     abs_w = np.abs(weights.data)
     row_of = result.assignment.row_of.copy()
@@ -646,10 +643,10 @@ def brute_force_partition(
     entries, and ValueError for a budget that is not a non-negative
     integer or a layer whose sum of |W| overflows.
     """
-    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 0:
-        raise ValueError(f"budget must be a non-negative integer, got {budget!r}")
+    budget = check_int(budget, 0, math.inf,
+                       f"budget must be a non-negative integer, got {budget!r}")
     rows, cols = weights.rows, weights.cols
-    _check_p(rows, cols, p)
+    p = check_int(p, 1, min(rows, cols), _P_RANGE.format(p, min(rows, cols), rows, cols))
     estimate = oracle_enumeration_size(rows, cols, p)
     if estimate > budget:
         raise OracleBudgetError(

@@ -28,6 +28,8 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
+from .core import check_int, partition_capacities
+
 CYCLES_FILL_DRAIN = 2  # pipeline fill + drain, (s - 1) each
 
 # Most jobs a built workload holds: copies of `replicated_workload`,
@@ -64,55 +66,49 @@ class SimConfig:
     p_static_mw: float = 50.0
 
     def validate(self):
-        # Written as `not lo < x < inf`, each check also rejects NaN.
-        if self.num_accelerators < 1:
-            raise ValueError("need at least one accelerator")
+        # Types first: an int field takes an int, a float field an int or finite float.
+        for name, kind in _FIELD_KINDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, kind)) or (
+                    isinstance(value, float) and not math.isfinite(value)):
+                raise ValueError(f"config field {name} must be a finite "
+                                 f"{kind.__name__}, got {value!r}")
         # No workload holds more jobs, so a further accelerator is never busy.
-        if self.num_accelerators > MAX_WORKLOAD_JOBS:
-            raise ValueError(
-                f"{self.num_accelerators} accelerators is more than the "
-                f"limit of {MAX_WORKLOAD_JOBS}")
-        if not 0 < self.accel_clock_hz < math.inf:
+        n = self.num_accelerators
+        check_int(n, 1, MAX_WORKLOAD_JOBS, "need at least one accelerator",
+                  f"{n} accelerators is more than the limit of {MAX_WORKLOAD_JOBS}")
+        if self.accel_clock_hz <= 0:
             raise ValueError("accelerator clock must be positive and finite")
-        if self.sa_dim < 1:
-            raise ValueError("systolic array dimension must be >= 1")
-        if self.bytes_per_element < 1:
-            raise ValueError("bytes per element must be >= 1")
-        if not 0 < self.bus_bandwidth_bytes_per_cycle < math.inf:
+        check_int(self.sa_dim, 1, math.inf, "systolic array dimension must be >= 1")
+        check_int(self.bytes_per_element, 1, math.inf, "bytes per element must be >= 1")
+        if self.bus_bandwidth_bytes_per_cycle <= 0:
             raise ValueError("bus bandwidth must be positive and finite")
-        if self.dma_fixed_overhead_cycles < 0:
-            raise ValueError("DMA fixed overhead cannot be negative")
-        if not 0 <= self.contention_overhead < math.inf:
+        check_int(self.dma_fixed_overhead_cycles, 0, math.inf,
+                  "DMA fixed overhead cannot be negative")
+        if self.contention_overhead < 0:
             raise ValueError("contention overhead must be finite and non-negative")
-        if not (0 < self.e_mac_pj < math.inf and 0 < self.e_dram_byte_pj < math.inf
-                and 0 < self.p_static_mw < math.inf):
+        if min(self.e_mac_pj, self.e_dram_byte_pj, self.p_static_mw) <= 0:
             raise ValueError("energy constants must be positive and finite")
-        # An int passes `x < inf` but may still be too large for a float;
-        # the fixed overhead is an int field the bus adds to float times.
-        for f in fields(self):
-            if ((isinstance(f.default, float)
-                 or f.name == "dma_fixed_overhead_cycles")
-                    and getattr(self, f.name) > sys.float_info.max):
-                raise ValueError(f"config field {f.name} must fit a finite float")
+        # An int may be too large for a float; the bus adds the fixed overhead to times.
+        for name, kind in _FIELD_KINDS:
+            if ((kind is float or name == "dma_fixed_overhead_cycles")
+                    and getattr(self, name) > sys.float_info.max):
+                raise ValueError(f"config field {name} must fit a finite float")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        kinds = {f.name: type(f.default) for f in fields(cls)}
-        extra = set(d) - set(kinds)
+        extra = set(d) - set(dict(_FIELD_KINDS))
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
-        for name, value in d.items():
-            # An int field takes an int; a float field an int or finite float.
-            if isinstance(value, bool) or not isinstance(value, (int, kinds[name])) or (
-                    isinstance(value, float) and not math.isfinite(value)):
-                raise ValueError(f"config field {name} must be a finite "
-                                 f"{kinds[name].__name__}, got {value!r}")
         cfg = cls(**d)
         cfg.validate()
         return cfg
+
+
+_FIELD_KINDS = tuple((f.name, type(f.default)) for f in fields(SimConfig))
 
 
 @dataclass(frozen=True)
@@ -123,6 +119,12 @@ class Job:
     m: int
     k: int
     n: int
+
+    def __post_init__(self):  # as ints: a str size would repeat, a numpy one wrap
+        if (type(self.accelerator), type(self.m), type(self.k), type(self.n)) != (int,) * 4:
+            for name in ("accelerator", "m", "k", "n"):  # sizes are checked where used
+                object.__setattr__(self, name, check_int(
+                    getattr(self, name), -math.inf, math.inf, "job fields must be ints"))
 
     def transfer_bytes(self, bytes_per_element: int) -> int:
         # Inputs (M*K) and weights (K*N) cross the bus for every job;
@@ -152,15 +154,15 @@ class SimReport:
 
         Both are per copy when this run is `copies` replicated jobs and
         the baseline one of them: ideal scaling has speedup `copies`, and
-        `copies` jobs at the baseline's energy each have ratio 1.
+        `copies` jobs at the baseline's energy each have ratio 1. Raises
+        ValueError where a ratio would divide by a zero makespan or energy.
         """
-        return replace(
-            self,
-            speedup=per_copy_speedup(
-                copies, baseline.makespan_cycles, self.makespan_cycles),
-            energy_ratio=self.energy_total_pj / (
-                copies * baseline.energy_total_pj),
-        )
+        copies = _check_copies(copies)
+        if not baseline.energy_total_pj:
+            raise ValueError("no energy ratio against a zero baseline energy")
+        return replace(self, speedup=per_copy_speedup(
+            copies, baseline.makespan_cycles, self.makespan_cycles),
+            energy_ratio=self.energy_total_pj / (copies * baseline.energy_total_pj))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -184,8 +186,11 @@ def sa_matmul_cycles(m: int, k: int, n: int, s: int) -> int:
     streams K accumulation beats through the array plus 2s - 2 cycles of
     pipeline fill and drain.
     """
-    if min(m, k, n, s) < 1:
-        raise ValueError("matmul dimensions and array size must be >= 1")
+    if not type(m) is type(k) is type(n) is type(s) is int or min(m, k, n, s) < 1:
+        m, k, n, s = (check_int(dim, 1, math.inf, "matmul dimensions and array size "
+                                "must be >= 1") for dim in (m, k, n, s))
+    if max(m, n) > sys.float_info.max:  # so that m / s and n / s fit
+        raise ValueError("matmul dimensions do not fit a finite float")
     tiles = math.ceil(m / s) * math.ceil(n / s)
     return tiles * (k + CYCLES_FILL_DRAIN * s - 2)
 
@@ -253,13 +258,11 @@ def simulate(config: SimConfig, workload: list) -> SimReport:
     O(k log k) comparisons.
     """
     config.validate()
+    n = config.num_accelerators
     accels = [job.accelerator for job in workload]
-    for accel in accels:
-        if not 0 <= accel < config.num_accelerators:
-            raise ValueError(
-                f"job accelerator {accel} out of range "
-                f"[0, {config.num_accelerators})"
-            )
+    bad = [a for a in accels if not 0 <= a < n]  # ints, as Job makes them
+    if bad:
+        raise ValueError(f"job accelerator {bad[0]} out of range [0, {n})")
     transfer, compute, total_bytes, total_macs = _job_costs(config, workload)
     busy = [0.0] * config.num_accelerators
     for accel, cycles in zip(accels, compute):
@@ -352,11 +355,8 @@ def partitioned_workload(rows: int, cols: int, p: int) -> list:
     capacities paired largest-with-largest, matching the search's
     founding order.
     """
-    from .core import partition_capacities
-
-    if p > MAX_WORKLOAD_JOBS:
-        raise ValueError(
-            f"{p} partitions is more than the limit of {MAX_WORKLOAD_JOBS}")
+    check_int(p, 1, MAX_WORKLOAD_JOBS, "partition count must be >= 1",
+              above=f"{p} partitions is more than the limit of {MAX_WORKLOAD_JOBS}")
     row_caps = partition_capacities(rows, p)
     col_caps = partition_capacities(cols, p)
     return [
@@ -364,14 +364,14 @@ def partitioned_workload(rows: int, cols: int, p: int) -> list:
     ]
 
 
+def _check_copies(copies) -> int:
+    return check_int(copies, 1, MAX_WORKLOAD_JOBS, "need at least one copy",
+                     f"{copies} copies is more than the limit of {MAX_WORKLOAD_JOBS}")
+
+
 def replicated_workload(rows: int, cols: int, copies: int) -> list:
     """`copies` identical full-layer jobs, one per accelerator."""
-    if copies < 1:
-        raise ValueError("need at least one copy")
-    if copies > MAX_WORKLOAD_JOBS:
-        raise ValueError(
-            f"{copies} copies is more than the limit of {MAX_WORKLOAD_JOBS}")
-    return [Job(accelerator=a, m=1, k=rows, n=cols) for a in range(copies)]
+    return [Job(accelerator=a, m=1, k=rows, n=cols) for a in range(_check_copies(copies))]
 
 
 def ensure_capacity(config: SimConfig, accelerators: int) -> SimConfig:
@@ -388,16 +388,18 @@ def per_copy_speedup(copies, base, multi):
     perfectly scaling system scores exactly k. `base` and `multi` are the
     two makespans, as floats or as arrays of them.
     """
-    return copies * base / multi
+    try:
+        return copies * base / multi
+    except (ArithmeticError, TypeError) as e:
+        raise ValueError(f"no per-copy speedup: {e}") from None
 
 
 def scaling_speedup(config: SimConfig, rows: int, cols: int, copies: int) -> float:
     """Throughput speedup of k replicated jobs on k accelerators."""
     base = simulate(config, baseline_workload(rows, cols))
-    multi = simulate(
-        ensure_capacity(config, copies), replicated_workload(rows, cols, copies)
-    )
-    return multi.versus(base, copies).speedup
+    jobs = replicated_workload(rows, cols, copies)
+    multi = simulate(ensure_capacity(config, len(jobs)), jobs)
+    return multi.versus(base, len(jobs)).speedup
 
 
 @dataclass(frozen=True)
@@ -436,24 +438,21 @@ def calibrate(
     if not targets:
         raise ValueError("need at least one calibration target")
     for copies, target in targets:
-        if copies < 1 or not 0 < target < math.inf:
+        check_int(copies, 1, math.inf, f"invalid target ({copies}, {target})")
+        if isinstance(target, bool) or not isinstance(target, (int, float)) or not (
+                0 < target <= sys.float_info.max):
             raise ValueError(f"invalid target ({copies}, {target})")
     config.validate()
 
     # One copy is also the single-job baseline, so counts[0] == 1.
     counts = sorted({1} | {copies for copies, _ in targets})
-    # Build the largest workload alone (it checks the per-workload cap)
-    # and check the total before the rest, which could otherwise hold
-    # billions of jobs over many distinct counts.
-    largest = replicated_workload(rows, cols, counts[-1])
+    _check_copies(counts[-1])  # names a count past 65536 before the total can
     total = sum(copies for copies, _ in targets)
-    if total > MAX_CALIBRATE_COPIES:
-        raise ValueError(
-            f"targets ask for {total} accelerators in total, more than "
-            f"the limit of {MAX_CALIBRATE_COPIES}")
-    workloads = [replicated_workload(rows, cols, k) for k in counts[:-1]]
-    workloads.append(largest)
-    times = [_job_costs(config, jobs)[:2] for jobs in workloads]
+    check_int(total, 1, MAX_CALIBRATE_COPIES, f"targets ask for {total} accelerators "
+              f"in total, more than the limit of {MAX_CALIBRATE_COPIES}")
+    # Every copy is the baseline's one job, so the workloads share its times.
+    (transfer,), (compute,), _, _ = _job_costs(config, baseline_workload(rows, cols))
+    times = [([transfer] * k, [compute] * k) for k in counts]
     column = [counts.index(k) for k, _ in targets]
     target_copies = np.array([k for k, _ in targets], dtype=float)
     wanted = np.array([float(target) for _, target in targets])

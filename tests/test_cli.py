@@ -592,6 +592,66 @@ def test_overflowing_layer_exits_2(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_verify_of_a_layer_whose_products_overflow_fails(tmp_path, capsys):
+    # inf - inf is NaN, and max(0.0, nan) kept 0.0: exit 0, "passed": true.
+    big = tmp_path / "big.csv"
+    big.write_text("1e308,1e308,1e308,1e308\n" * 4)
+    res = tmp_path / "r.json"
+    res.write_text(json.dumps({
+        "rows": 4, "cols": 4, "p": 2, "seed": 0, "restarts": 1,
+        "row_partition": [0, 0, 1, 1], "col_partition": [0, 0, 1, 1]}))
+    report = tmp_path / "v.json"
+    assert run("verify", big, res, "--out", report) == 2
+    assert capsys.readouterr().out.startswith("FAIL:")
+    d = json.loads(report.read_text(), parse_constant=lambda name: pytest.fail(name))
+    assert d["passed"] is False and d["max_rel_error"] is None
+
+
+# Each range refusal, as its full stderr line; `limit` is verify's trial
+# limit for a 6 x 8 layer.
+REFUSALS = [
+    (("prune", "{m}", "-p", 0),
+     "partition count 0 out of range [1, 6] for a 6x8 layer"),
+    (("prune", "{m}", "-p", 7),
+     "partition count 7 out of range [1, 6] for a 6x8 layer"),
+    (("prune", "{m}", "-p", 2, "--restarts", 10**15),
+     "1000000000000000 restarts of a 6x8 layer keep 14000000000000000 labels, "
+     "more than the limit of 33554432"),
+    (("prune", "{m}", "-p", 2, "--refine", "--max-passes", 0),
+     "--max-passes must be >= 1 with --refine"),
+    (("verify", "{m}", "{r}", "--trials", 0), "trials must be >= 1"),
+    (("verify", "{m}", "{r}", "--trials", "{limit+1}"),
+     "--trials is more than the limit of 16582885 for a 6x8 layer"),
+    (("simulate", "--mode", "scaling", "--copies", 65537),
+     "65537 copies is more than the limit of 65536"),
+    (("simulate", "-p", 65537), "65537 partitions is more than the limit of 65536"),
+    (("calibrate", "--targets", "2=1.8,511=2"),
+     "targets ask for 513 accelerators in total, more than the limit of 512"),
+    (("gen", "--rows", 0, "--cols", 4, "--out", "{m}"), "matrix dimensions must be >= 1"),
+    (("simulate", "--config", "{c:1.5}"),
+     "config field sa_dim must be a finite int, got 1.5"),
+    (("simulate", "--config", "{c:0}"), "systolic array dimension must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("argv, line", REFUSALS, ids=[
+    " ".join(str(a) for a in argv)[:40] for argv, _ in REFUSALS])
+def test_range_refusal_message(matrix_6x8, tmp_path, capsys, argv, line):
+    res = tmp_path / "r.json"
+    run("prune", matrix_6x8, "-p", 2, "--out", res, "--quiet")
+    limit = cli.MAX_VERIFY_WORK // (6 * 8 + cli.VERIFY_TRIAL_COST)
+    fill = {"{m}": matrix_6x8, "{r}": res, "{limit+1}": limit + 1}
+    for value in ("1.5", "0"):
+        cfg = tmp_path / f"sa_dim_{value}.json"
+        cfg.write_text(f'{{"sa_dim": {value}}}')
+        fill[f"{{c:{value}}}"] = cfg
+    capsys.readouterr()
+    assert run(*[fill.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {line}\n"
+    assert captured.out == ""
+
+
 def test_commands_rebound_after_the_first_call_are_run(matrix_6x8, monkeypatch):
     # The parser is built once per process; the command is looked up by
     # name on every call, so wrappers installed later still catch it.

@@ -68,7 +68,6 @@ from blockprune.partitioner import (
     OracleResult,
     _abs_weights,
     _best_swap,
-    _check_p,
     _column_splits,
     _construct,
     _group_sums,
@@ -83,6 +82,15 @@ from blockprune.partitioner import (
     refine_swaps,
 )
 from blockprune.rng import SplitMix64, stream_array, stream_element
+
+
+def _check_p(rows, cols, p):
+    """The search's partition-count check, as it was before `check_int`."""
+    if p < 1 or p > min(rows, cols):
+        raise ValueError(
+            f"partition count {p} out of range [1, {min(rows, cols)}] "
+            f"for a {rows}x{cols} layer"
+        )
 
 
 def _top_columns(abs_row: np.ndarray, candidates: np.ndarray, k: int) -> np.ndarray:
