@@ -631,6 +631,8 @@ REFUSALS = [
     (("simulate", "--config", "{c:1.5}"),
      "config field sa_dim must be a finite int, got 1.5"),
     (("simulate", "--config", "{c:0}"), "systolic array dimension must be >= 1"),
+    (("verify", "{m}", "{r:0}"), "{r:0}: p=0 out of range [1, 6]"),
+    (("verify", "{m}", "{r:2.5}"), "{r:2.5}: p must be an integer, got 2.5"),
 ]
 
 
@@ -645,6 +647,12 @@ def test_range_refusal_message(matrix_6x8, tmp_path, capsys, argv, line):
         cfg = tmp_path / f"sa_dim_{value}.json"
         cfg.write_text(f'{{"sa_dim": {value}}}')
         fill[f"{{c:{value}}}"] = cfg
+    for p in (0, 2.5):
+        bad = tmp_path / f"p_{p}.json"
+        bad.write_text(json.dumps({**VALID_RESULT_6X8, "p": p}))
+        fill[f"{{r:{p}}}"] = bad
+    for key, value in fill.items():
+        line = line.replace(key, str(value))
     capsys.readouterr()
     assert run(*[fill.get(a, a) for a in argv]) == 2
     captured = capsys.readouterr()

@@ -261,6 +261,11 @@ PROBES = {
     "PartitionAssignment: NaN p": lambda: PartitionAssignment(math.nan, [0], [0]),
     "partition_capacities: bool p": lambda: partition_capacities(4, True),
     "Job: fractional size": lambda: simulate(SimConfig(), [Job(0, 1.5, 2, 2)]),
+    "Job: string size": lambda: Job(0, "2", 2, 2),
+    "Job: numpy size beside one past a float":
+        lambda: simulate(SimConfig(), [Job(0, np.int64(1), 10**400, 1)]),
+    "partition_capacities: p past an index":
+        lambda: partition_capacities(2**64 + 1, 2**64 + 1),
     "sa_matmul_cycles: fractional size": lambda: sa_matmul_cycles(1.5, 2, 2, 2),
     "sa_matmul_cycles: size past a float": lambda: sa_matmul_cycles(10**400, 1, 1, 1),
     "SimConfig: fractional bytes per element":
