@@ -100,7 +100,7 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        extra = set(d) - set(dict(_FIELD_KINDS))
+        extra = set(d) - {name for name, _ in _FIELD_KINDS}
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
         cfg = cls(**d)
@@ -355,8 +355,8 @@ def partitioned_workload(rows: int, cols: int, p: int) -> list:
     capacities paired largest-with-largest, matching the search's
     founding order.
     """
-    check_int(p, 1, MAX_WORKLOAD_JOBS, "partition count must be >= 1",
-              above=f"{p} partitions is more than the limit of {MAX_WORKLOAD_JOBS}")
+    p = check_int(p, 1, MAX_WORKLOAD_JOBS, "partition count must be >= 1",
+                  above=f"{p} partitions is more than the limit of {MAX_WORKLOAD_JOBS}")
     row_caps = partition_capacities(rows, p)
     col_caps = partition_capacities(cols, p)
     return [
