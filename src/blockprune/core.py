@@ -236,12 +236,15 @@ def partition_capacities(n: int, p: int) -> tuple:
     The first n % p entries are ceil(n/p), the rest floor(n/p); only the
     multiset is meaningful, the non-increasing order is a canonical form.
     """
+    # The result is a p-tuple, and Python builds none longer than sys.maxsize.
+    # A p below that but past memory still ends in MemoryError.
     p = check_int(p, 1, sys.maxsize, "partition count must be >= 1",
-                  "partition count is more than the largest index")
+                  "partition count is more than the longest tuple")
     check_int(n, -math.inf, math.inf, "node count must be an integer")
     n = check_int(n, p, math.inf, f"more partitions than nodes: p={p} > n={n}")
-    lo, k = divmod(n, p)
-    return (lo + 1,) * k + (lo,) * (p - k)
+    hi, lo = -(-n // p), n // p
+    k = n % p
+    return (hi,) * k + (lo,) * (p - k)
 
 
 def mask_of(assignment: PartitionAssignment) -> LinkMask:

@@ -65,12 +65,15 @@ class SimConfig:
     e_dram_byte_pj: float = 20.0
     p_static_mw: float = 50.0
 
-    def validate(self):
-        # Types first: an int field takes an int, a float field an int or finite float.
-        for name, kind in _FIELD_KINDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, kind)) or (
-                    isinstance(value, float) and not math.isfinite(value)):
+    def validate(self, first=()):
+        # Types first, the fields named in `first` (a file's order) before
+        # the rest: an int field takes an integer, a float field an integer
+        # or a finite float; numpy scalars are both, bools neither.
+        for name in dict.fromkeys([*first, *_FIELD_KINDS]):
+            value, kind = getattr(self, name), _FIELD_KINDS[name]
+            number = isinstance(value, (int, np.integer)) or kind is float and (
+                isinstance(value, (float, np.floating)) and math.isfinite(value))
+            if isinstance(value, bool) or not number:
                 raise ValueError(f"config field {name} must be a finite "
                                  f"{kind.__name__}, got {value!r}")
         # No workload holds more jobs, so a further accelerator is never busy.
@@ -89,10 +92,12 @@ class SimConfig:
             raise ValueError("contention overhead must be finite and non-negative")
         if min(self.e_mac_pj, self.e_dram_byte_pj, self.p_static_mw) <= 0:
             raise ValueError("energy constants must be positive and finite")
-        # An int may be too large for a float; the bus adds the fixed overhead to times.
-        for name, kind in _FIELD_KINDS:
+        # Only a Python int may be too large for a float; the bus adds the
+        # fixed overhead to times.
+        for name, kind in _FIELD_KINDS.items():
+            value = getattr(self, name)
             if ((kind is float or name == "dma_fixed_overhead_cycles")
-                    and getattr(self, name) > sys.float_info.max):
+                    and isinstance(value, int) and value > sys.float_info.max):
                 raise ValueError(f"config field {name} must fit a finite float")
 
     def to_dict(self) -> dict:
@@ -100,15 +105,15 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        extra = set(d) - {name for name, _ in _FIELD_KINDS}
+        extra = set(d) - set(_FIELD_KINDS)
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
         cfg = cls(**d)
-        cfg.validate()
+        cfg.validate(first=d)
         return cfg
 
 
-_FIELD_KINDS = tuple((f.name, type(f.default)) for f in fields(SimConfig))
+_FIELD_KINDS = {f.name: type(f.default) for f in fields(SimConfig)}
 
 
 @dataclass(frozen=True)
@@ -121,10 +126,9 @@ class Job:
     n: int
 
     def __post_init__(self):  # as ints: a str size would repeat, a numpy one wrap
-        if (type(self.accelerator), type(self.m), type(self.k), type(self.n)) != (int,) * 4:
-            for name in ("accelerator", "m", "k", "n"):  # sizes are checked where used
-                object.__setattr__(self, name, check_int(
-                    getattr(self, name), -math.inf, math.inf, "job fields must be ints"))
+        for name in ("accelerator", "m", "k", "n"):  # sizes are checked where used
+            object.__setattr__(self, name, check_int(
+                getattr(self, name), -math.inf, math.inf, "job fields must be ints"))
 
     def transfer_bytes(self, bytes_per_element: int) -> int:
         # Inputs (M*K) and weights (K*N) cross the bus for every job;
@@ -160,9 +164,13 @@ class SimReport:
         copies = _check_copies(copies)
         if not baseline.energy_total_pj:
             raise ValueError("no energy ratio against a zero baseline energy")
-        return replace(self, speedup=per_copy_speedup(
-            copies, baseline.makespan_cycles, self.makespan_cycles),
-            energy_ratio=self.energy_total_pj / (copies * baseline.energy_total_pj))
+        return replace(
+            self,
+            speedup=per_copy_speedup(
+                copies, baseline.makespan_cycles, self.makespan_cycles),
+            energy_ratio=self.energy_total_pj / (
+                copies * baseline.energy_total_pj),
+        )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -186,9 +194,8 @@ def sa_matmul_cycles(m: int, k: int, n: int, s: int) -> int:
     streams K accumulation beats through the array plus 2s - 2 cycles of
     pipeline fill and drain.
     """
-    if not type(m) is type(k) is type(n) is type(s) is int or min(m, k, n, s) < 1:
-        m, k, n, s = (check_int(dim, 1, math.inf, "matmul dimensions and array size "
-                                "must be >= 1") for dim in (m, k, n, s))
+    m, k, n, s = (check_int(dim, 1, math.inf, "matmul dimensions and array size "
+                            "must be >= 1") for dim in (m, k, n, s))
     if max(m, n) > sys.float_info.max:  # so that m / s and n / s fit
         raise ValueError("matmul dimensions do not fit a finite float")
     tiles = math.ceil(m / s) * math.ceil(n / s)
@@ -258,11 +265,13 @@ def simulate(config: SimConfig, workload: list) -> SimReport:
     O(k log k) comparisons.
     """
     config.validate()
-    n = config.num_accelerators
     accels = [job.accelerator for job in workload]
-    bad = [a for a in accels if not 0 <= a < n]  # ints, as Job makes them
-    if bad:
-        raise ValueError(f"job accelerator {bad[0]} out of range [0, {n})")
+    for accel in accels:
+        if not 0 <= accel < config.num_accelerators:
+            raise ValueError(
+                f"job accelerator {accel} out of range "
+                f"[0, {config.num_accelerators})"
+            )
     transfer, compute, total_bytes, total_macs = _job_costs(config, workload)
     busy = [0.0] * config.num_accelerators
     for accel, cycles in zip(accels, compute):
@@ -371,7 +380,8 @@ def _check_copies(copies) -> int:
 
 def replicated_workload(rows: int, cols: int, copies: int) -> list:
     """`copies` identical full-layer jobs, one per accelerator."""
-    return [Job(accelerator=a, m=1, k=rows, n=cols) for a in range(_check_copies(copies))]
+    copies = _check_copies(copies)
+    return [Job(accelerator=a, m=1, k=rows, n=cols) for a in range(copies)]
 
 
 def ensure_capacity(config: SimConfig, accelerators: int) -> SimConfig:
@@ -396,10 +406,12 @@ def per_copy_speedup(copies, base, multi):
 
 def scaling_speedup(config: SimConfig, rows: int, cols: int, copies: int) -> float:
     """Throughput speedup of k replicated jobs on k accelerators."""
+    copies = _check_copies(copies)  # before it sizes the config
     base = simulate(config, baseline_workload(rows, cols))
-    jobs = replicated_workload(rows, cols, copies)
-    multi = simulate(ensure_capacity(config, len(jobs)), jobs)
-    return multi.versus(base, len(jobs)).speedup
+    multi = simulate(
+        ensure_capacity(config, copies), replicated_workload(rows, cols, copies)
+    )
+    return multi.versus(base, copies).speedup
 
 
 @dataclass(frozen=True)
@@ -439,8 +451,9 @@ def calibrate(
         raise ValueError("need at least one calibration target")
     for copies, target in targets:
         check_int(copies, 1, math.inf, f"invalid target ({copies}, {target})")
-        if isinstance(target, bool) or not isinstance(target, (int, float)) or not (
-                0 < target <= sys.float_info.max):
+        number = isinstance(target, (int, float, np.integer, np.floating))
+        if isinstance(target, bool) or not number or not 0 < target < math.inf or (
+                isinstance(target, int) and target > sys.float_info.max):
             raise ValueError(f"invalid target ({copies}, {target})")
     config.validate()
 

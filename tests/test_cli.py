@@ -631,6 +631,9 @@ REFUSALS = [
     (("simulate", "--config", "{c:1.5}"),
      "config field sa_dim must be a finite int, got 1.5"),
     (("simulate", "--config", "{c:0}"), "systolic array dimension must be >= 1"),
+    # Two fields of the wrong type: the first in the file is named.
+    (("simulate", "--config", "{c:two}"),
+     "config field accel_clock_hz must be a finite float, got 'x'"),
     (("verify", "{m}", "{r:0}"), "{r:0}: p=0 out of range [1, 6]"),
     (("verify", "{m}", "{r:2.5}"), "{r:2.5}: p must be an integer, got 2.5"),
 ]
@@ -643,10 +646,11 @@ def test_range_refusal_message(matrix_6x8, tmp_path, capsys, argv, line):
     run("prune", matrix_6x8, "-p", 2, "--out", res, "--quiet")
     limit = cli.MAX_VERIFY_WORK // (6 * 8 + cli.VERIFY_TRIAL_COST)
     fill = {"{m}": matrix_6x8, "{r}": res, "{limit+1}": limit + 1}
-    for value in ("1.5", "0"):
-        cfg = tmp_path / f"sa_dim_{value}.json"
-        cfg.write_text(f'{{"sa_dim": {value}}}')
-        fill[f"{{c:{value}}}"] = cfg
+    for tag, text in (("1.5", '{"sa_dim": 1.5}'), ("0", '{"sa_dim": 0}'), (
+            "two", '{"accel_clock_hz": "x", "num_accelerators": "y"}')):
+        cfg = tmp_path / f"config_{tag}.json"
+        cfg.write_text(text)
+        fill[f"{{c:{tag}}}"] = cfg
     for p in (0, 2.5):
         bad = tmp_path / f"p_{p}.json"
         bad.write_text(json.dumps({**VALID_RESULT_6X8, "p": p}))

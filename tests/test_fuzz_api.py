@@ -57,6 +57,7 @@ from blockprune import (
     validate_assignment,
     weight_loss,
 )
+from blockprune.perfmodel import ensure_capacity
 
 EDGE = [10**400, 2**64 + 1, 1e305, math.nan, math.inf, -math.inf, True, False,
         2.5, 2.0, "2", "", -1, 0, np.array([]), np.int64(-3)]
@@ -289,3 +290,25 @@ def test_probe_raises_value_error(probe):
 def test_empty_workload_still_simulates():
     report = simulate(SimConfig(), [])
     assert report.makespan_cycles == 0.0 and report.energy_total_pj == 0.0
+
+
+def test_numpy_scalars_are_numbers():
+    # Config fields, job sizes, copy counts and calibration targets may be
+    # numpy scalars, as a caller's arrays hand them out.
+    jobs = [Job(a, 1, 64, 64) for a in range(3)]
+    cfg = SimConfig(num_accelerators=np.int64(2), sa_dim=np.int64(32))
+    assert simulate(ensure_capacity(cfg, np.int64(4)), jobs) == simulate(SimConfig(), jobs)
+    assert simulate(SimConfig(accel_clock_hz=np.float32(2e8)), jobs).makespan_cycles > 0
+    numpy_job = Job(np.int64(0), np.int64(1), np.int64(64), np.int64(64))
+    assert simulate(SimConfig(), [numpy_job]) == simulate(SimConfig(), jobs[:1])
+    assert (calibrate(SimConfig(), [(np.int64(3), np.int64(2))])
+            == calibrate(SimConfig(), [(3, 2)]))
+    assert (calibrate(SimConfig(), [(2, np.float32(1.8)), (3, 2.5)]).achieved
+            == calibrate(SimConfig(), [(2, float(np.float32(1.8))), (3, 2.5)]).achieved)
+
+
+@pytest.mark.parametrize("target", [np.float32(np.inf), np.float32(np.nan),
+                                    np.int64(0), np.bool_(True)])
+def test_numpy_target_out_of_range_is_refused(target):
+    with pytest.raises(ValueError, match="invalid target"):
+        calibrate(SimConfig(), [(2, target)])
