@@ -49,7 +49,10 @@ class WeightMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.data, dtype=np.float64, order="C")
+        try:
+            a = np.array(self.data, dtype=np.float64, order="C")
+        except OverflowError as e:  # a Python int past a float
+            raise ValueError(f"weight matrix value does not fit a float: {e}") from e
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError("weight matrix must be 2-D with positive dimensions")
         if not np.all(np.isfinite(a)):
@@ -122,8 +125,11 @@ class PartitionAssignment:
     def __post_init__(self):
         object.__setattr__(
             self, "p", check_int(self.p, 1, math.inf, "partition count must be >= 1"))
-        r = np.array(self.row_of, dtype=np.int64)
-        c = np.array(self.col_of, dtype=np.int64)
+        try:
+            r = np.array(self.row_of, dtype=np.int64)
+            c = np.array(self.col_of, dtype=np.int64)
+        except OverflowError as e:  # a Python int past int64, or an infinity
+            raise ValueError(f"labels must fit a 64-bit integer: {e}") from e
         if r.ndim != 1 or c.ndim != 1:
             raise ValueError("row_of and col_of must be 1-D")
         object.__setattr__(self, "row_of", _locked(r))
@@ -213,7 +219,8 @@ def _abs_sum(weights: WeightMatrix, selected: np.ndarray) -> float:
     return float(np.abs(picked, out=picked).sum())
 
 
-def _check_dims(weights: WeightMatrix, mask: LinkMask):
+def _check_dims(weights: WeightMatrix, mask):
+    """`mask` is a LinkMask or a PartitionAssignment: both have rows and cols."""
     if (weights.rows, weights.cols) != (mask.rows, mask.cols):
         raise ValueError("weights and mask dimensions differ")
 
@@ -306,17 +313,17 @@ def result_from_assignment(
 ) -> PruneResult:
     """Assemble a PruneResult, computing its weight metrics anew.
 
-    One mask comparison selects the pruned entries and its complement the
-    kept ones; both are summed by `_abs_sum`, so the metrics are bit-equal
-    to `weight_loss` and `retained_abs_weight` of the same mask.
+    One comparison of the labels selects the kept entries, as `mask_of`
+    does, and its complement the pruned ones; both are summed by
+    `_abs_sum`, so the metrics are bit-equal to `weight_loss` and
+    `retained_abs_weight` of the assignment's mask.
     """
-    mask = mask_of(assignment)
-    _check_dims(weights, mask)
-    pruned = mask.bits == 0
+    _check_dims(weights, assignment)
+    kept = assignment.row_of[:, None] == assignment.col_of[None, :]
     return PruneResult(
         assignment=assignment,
-        weight_loss=_abs_sum(weights, pruned),
-        retained_abs_weight=_abs_sum(weights, ~pruned),
+        weight_loss=_abs_sum(weights, ~kept),
+        retained_abs_weight=_abs_sum(weights, kept),
         seed=seed,
         restarts=restarts,
     )

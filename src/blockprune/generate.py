@@ -13,6 +13,11 @@ import numpy as np
 from .core import WeightMatrix, check_int, partition_capacities
 from .rng import uniform_array
 
+# Most links (rows * cols) generate accepts: 8192 x 8192, four times the
+# paper's 4096 x 4096. A draw holds a few float64 arrays of this many
+# entries, 0.5 GB each at the bound.
+MAX_GENERATE_LINKS = 1 << 26
+
 
 def uniform_matrix(rows: int, cols: int, seed: int) -> WeightMatrix:
     """Entries uniform in [-1, 1)."""
@@ -64,9 +69,16 @@ def planted_assignment(rows: int, cols: int, p: int):
 
 
 def generate(rows: int, cols: int, dist: str, seed: int) -> WeightMatrix:
-    """Dispatch on a distribution name: uniform, gauss, or blockdiag:p."""
+    """Dispatch on a distribution name: uniform, gauss, or blockdiag:p.
+
+    Raises ValueError, before drawing, for a layer of more than
+    MAX_GENERATE_LINKS links.
+    """
     for dim in (rows, cols):
         check_int(dim, 1, np.inf, "matrix dimensions must be >= 1")
+    check_int(rows * cols, 1, MAX_GENERATE_LINKS,
+              f"a {rows}x{cols} layer has {rows * cols} links, "
+              f"more than the limit of {MAX_GENERATE_LINKS}")
     check_int(seed, -np.inf, np.inf, "seed must be an integer")
     if dist == "uniform":
         return uniform_matrix(rows, cols, seed)

@@ -90,9 +90,21 @@ class OracleResult:
     enumerated: int
 
 
+# _abs_weights transposes in strips of this many full-width rows: a strip
+# reads its rows in order and writes a run of 64 floats (512 bytes) to
+# each column. Measured on a 2-vCPU Xeon, against 37 and 220 ms for one
+# transposing np.abs at 2048 and 4096 square: strips of 64 rows took
+# 13.6 and 82 ms, of 32 rows 14.6 and 95 ms, of 128 rows 14.2 and 174 ms.
+_STRIP_ROWS = 64
+
+
 def _abs_weights(weights: WeightMatrix) -> np.ndarray:
     """|W| in column-major order, so every column is one contiguous run."""
-    return np.abs(weights.data.T, order="C").T
+    data = weights.data
+    out = np.empty((data.shape[1], data.shape[0]))
+    for lo in range(0, data.shape[0], _STRIP_ROWS):
+        np.abs(data[lo:lo + _STRIP_ROWS].T, out=out[:, lo:lo + _STRIP_ROWS])
+    return out.T
 
 
 def _margin(abs_w: np.ndarray) -> float:
@@ -120,22 +132,28 @@ _BLOCK_ELEMENTS = 1 << 16
 # The column pass adds each column of |W| to one score row per restart.
 # A block of at least _INDEXED_ADD_RESTARTS restarts on a layer of fewer
 # than _INDEXED_ADD_ROWS rows does that with one indexed add per column;
-# otherwise each restart adds in place. An indexed add costs several
-# plain adds per call, and its gather and scatter lose on long rows.
-# Measured per restart on a 2-vCPU Xeon, indexed against plain: 512
-# rows, 16 restarts 0.43 against 0.86 ms, but 8 restarts 0.57 against
-# 0.52 ms and 1 restart 3.8 against 1.4 ms; 2048 rows, 16 restarts 6.1
-# against 4.8 ms.
+# otherwise each restart adds in place, through a view of its score row.
+# An indexed add costs several plain adds per call, and its gather and
+# scatter lose on long rows. Measured as whole `_construct` calls on
+# square layers, one BLAS thread on a 2-vCPU Xeon, medians of 25,
+# indexed against views: at p = 3, 256 rows, 32 restarts 12.8 against
+# 15.8 ms, 384 rows 13.0 against 12.4 ms; 512 rows, p = 2 to 5, 18.3 to
+# 26.8 against 17.5 to 26.6 ms; 768 rows 37 to 43 against 31 to 41 ms.
+# At 128 rows, p = 3: 32 restarts 7.1 against 9.2 ms, 16 restarts 5.6
+# against 5.9 ms, 8 restarts 4.3 against 4.2 ms.
 _INDEXED_ADD_RESTARTS = 16
-_INDEXED_ADD_ROWS = 1024
+_INDEXED_ADD_ROWS = 512
 
 
-def _construct(abs_w: np.ndarray, p: int, seeds: np.ndarray) -> tuple:
+def _construct(data: np.ndarray, abs_w: np.ndarray, p: int, seeds: np.ndarray) -> tuple:
     """One greedy construction per uint64 seed, run in lockstep.
 
-    Returns (row_of, col_of, tracked), shaped (R, rows), (R, cols) and
-    (R,). tracked[r] is the sum of restart r's winning scores, in visit
-    order: its retained |W| up to summation-order rounding.
+    `data` is W in row-major order and `abs_w` is `_abs_weights`'s |W|
+    in column-major order: founding reads whole rows of the first, the
+    column pass whole columns of the second. Returns (row_of, col_of,
+    tracked), shaped (R, rows), (R, cols) and (R,). tracked[r] is the sum
+    of restart r's winning scores, in visit order: its retained |W| up to
+    summation-order rounding.
     """
     rows, cols = abs_w.shape
     orders = batch_permutation(seeds, rows)
@@ -146,14 +164,14 @@ def _construct(abs_w: np.ndarray, p: int, seeds: np.ndarray) -> tuple:
     # Each block is a slice, so the phases fill these arrays in place.
     step = max(1, _BLOCK_ELEMENTS // cols)
     for b in (slice(lo, lo + step) for lo in range(0, len(seeds), step)):
-        _found_partitions(abs_w, p, orders[b], row_of[b], col_of[b], counts[b], tracked[b])
+        _found_partitions(data, p, orders[b], row_of[b], col_of[b], counts[b], tracked[b])
     step = max(1, _BLOCK_ELEMENTS // (p * rows))
     for b in (slice(lo, lo + step) for lo in range(0, len(seeds), step)):
         _assign_rest(abs_w, p, orders[b], row_of[b], col_of[b], counts[b], tracked[b])
     return row_of, col_of, tracked
 
 
-def _found_partitions(abs_w, p, order, row_of, col_of, counts, retained):
+def _found_partitions(data, p, order, row_of, col_of, counts, retained):
     """Visit rows one step at a time until every restart has founded p.
 
     Each step takes the next row of every restart still founding. Every
@@ -164,14 +182,15 @@ def _found_partitions(abs_w, p, order, row_of, col_of, counts, retained):
     """
     count, rows = order.shape
     row_caps = np.array(partition_capacities(rows, p))
-    col_caps = partition_capacities(abs_w.shape[1], p)
+    col_caps = partition_capacities(data.shape[1], p)
     founded = np.zeros(count, dtype=np.int64)
 
     live = np.arange(count)
     t = 0
     while len(live):
         r = order[live, t]
-        vals = abs_w[r]
+        vals = data[r]  # a copy; each row is read as one contiguous run
+        np.abs(vals, out=vals)
         f = founded[live]
         labels = col_of[live]
         # One bincount over all restarts adds each row over each of its
@@ -235,13 +254,15 @@ def _assign_rest(abs_w, p, order, row_of, col_of, counts, retained):
     row_caps = np.array(partition_capacities(rows, p))
     score = np.zeros((count * p, rows))
     dest = (np.arange(count)[:, None] * p + col_of).T  # score row of column j
-    indexed = count >= _INDEXED_ADD_RESTARTS and rows < _INDEXED_ADD_ROWS
-    for col, to in zip(abs_w.T, dest):
-        if indexed:
+    if count >= _INDEXED_ADD_RESTARTS and rows < _INDEXED_ADD_ROWS:
+        for col, to in zip(abs_w.T, dest):
             score[to] += col  # one gather-add-scatter for the whole block
-        else:
-            for k in to.tolist():
-                score[k] += col
+    else:
+        views = list(score)  # one view per score row, built once
+        for col, to in zip(abs_w.T, dest.tolist()):
+            for k in to:
+                views[k] += col
+        del views  # they hold the unsorted scores, freed once sorted below
     score = score.reshape(count, p, rows)
     score = np.take_along_axis(score, order[:, None, :], axis=2)  # visit order
 
@@ -289,7 +310,7 @@ def greedy_partition(weights: WeightMatrix, p: int, seed: int) -> PruneResult:
     abs_w = _abs_weights(weights)
     _margin(abs_w)  # refuses a layer whose sum of |W| overflows
     seeds = np.array([seed & MASK64], dtype=np.uint64)
-    row_of, col_of, _ = _construct(abs_w, p, seeds)
+    row_of, col_of, _ = _construct(weights.data, abs_w, p, seeds)
     assignment = PartitionAssignment(p=p, row_of=row_of[0], col_of=col_of[0])
     return result_from_assignment(weights, assignment, seed=seed, restarts=1)
 
@@ -323,7 +344,8 @@ def multi_restart(
     seed = check_int(seed, -math.inf, math.inf, "seed must be an integer")
     abs_w = _abs_weights(weights)
     margin = _margin(abs_w)
-    row_of, col_of, tracked = _construct(abs_w, p, stream_array(seed, restarts))
+    seeds = stream_array(seed, restarts)
+    row_of, col_of, tracked = _construct(weights.data, abs_w, p, seeds)
     # Free |W| before the exact pass allocates its own n x n temporaries.
     del abs_w
     # Equal labels lose equal weight, so each distinct assignment is
@@ -343,6 +365,17 @@ def _one_hot(labels: np.ndarray, n: int) -> np.ndarray:
     m = np.zeros((len(labels), n))
     m[np.arange(len(labels)), labels] = 1.0
     return m
+
+
+def _swap_noise(gain: np.ndarray) -> float:
+    """64 eps max|gain| over the finite gains.
+
+    A swap's gain is a four-term sum that rounds by at most 4.5 eps of
+    the largest term, so a best gain no larger than this may be rounding
+    alone, as when two sums that are equal exactly round apart.
+    """
+    finite = np.abs(gain[np.isfinite(gain)])
+    return 64 * np.finfo(float).eps * float(np.max(finite, initial=0.0))
 
 
 def _best_swap(gain: np.ndarray, labels: np.ndarray, p: int) -> tuple:
@@ -420,8 +453,10 @@ def refine_swaps(
     two columns that live in different partitions; swaps preserve group
     sizes, so feasibility is maintained. A column swap is taken only if it
     gains strictly more than the best row swap. Stops when no swap
-    improves or after max_passes swaps. The returned loss never exceeds
-    the input's.
+    improves or after max_passes swaps. A best gain no larger than
+    `_swap_noise` of its side's gains counts as no gain, so exact ties
+    are never swapped to and fro. The returned loss never exceeds the
+    input's.
 
     The gains of one side depend only on the other side's labels, so a
     row swap leaves the row gains as they are and only the column gains
@@ -441,11 +476,13 @@ def refine_swaps(
     for _ in range(max_passes):
         row_best = _best_swap(row_gain, row_of, p)
         col_best = _best_swap(col_gain, col_of, p)
-        if col_best[0] > row_best[0]:
+        row_top = row_best[0] if row_best[0] > _swap_noise(row_gain) else 0.0
+        col_top = col_best[0] if col_best[0] > _swap_noise(col_gain) else 0.0
+        if col_top > row_top:
             _, i, j = col_best
             col_of[[i, j]] = col_of[[j, i]]
             row_gain = abs_w @ _one_hot(col_of, p)
-        elif row_best[0] > 0.0:
+        elif row_top > 0.0:
             _, i, j = row_best
             row_of[[i, j]] = row_of[[j, i]]
             col_gain = abs_w.T @ _one_hot(row_of, p)

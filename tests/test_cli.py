@@ -628,6 +628,9 @@ REFUSALS = [
     (("calibrate", "--targets", "2=1.8,511=2"),
      "targets ask for 513 accelerators in total, more than the limit of 512"),
     (("gen", "--rows", 0, "--cols", 4, "--out", "{m}"), "matrix dimensions must be >= 1"),
+    (("gen", "--rows", 10**9, "--cols", 10**9, "--out", "{m}"),
+     "a 1000000000x1000000000 layer has 1000000000000000000 links, "
+     "more than the limit of 67108864"),
     (("simulate", "--config", "{c:1.5}"),
      "config field sa_dim must be a finite int, got 1.5"),
     (("simulate", "--config", "{c:0}"), "systolic array dimension must be >= 1"),

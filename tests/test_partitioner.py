@@ -268,6 +268,18 @@ class TestRefineSwaps:
         assert refined.weight_loss < fewer.weight_loss < base.weight_loss
         assert elapsed < 0.7, f"20 refine passes at 2048x2048 took {elapsed:.2f} s"
 
+    def test_exact_ties_end_a_huge_pass_limit_at_once(self):
+        # The swap of one column pair gains 1.1e-16 here, rounding of two
+        # sums that are equal exactly; taking it undoes the last swap, and
+        # the pair went to and fro until the pass limit.
+        w = WeightMatrix(np.linspace(-1.0, 1.0, 16).reshape(4, 4))
+        base = multi_restart(w, 4, 2, 0)
+        start = time.perf_counter()
+        refined = refine_swaps(w, base, max_passes=10**6)
+        elapsed = time.perf_counter() - start
+        assert refined.weight_loss == base.weight_loss
+        assert elapsed < 1.0, f"refine on exact ties took {elapsed:.2f} s"
+
 
 class TestOracle:
     def test_planted_blockdiag_optimum_zero(self):

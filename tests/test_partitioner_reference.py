@@ -31,9 +31,10 @@ candidate count. `reference_labeled_splits` is the recursion that once
 enumerated the splits, one array copy per split; `_labeled_splits` must
 give the same array, bit for bit.
 
-`reference_refine_swaps` is the earlier refinement, kept as it was: a
-Python loop over every pair of rows and every pair of columns on each
-pass. `refine_swaps` must apply the same swap sequence.
+`reference_refine_swaps` is the earlier refinement: a Python loop over
+every pair of rows and every pair of columns on each pass, kept as it
+was but for one rule both share, that a gain within rounding of zero is
+no gain. `refine_swaps` must apply the same swap sequence.
 
 `reference_best_swap` is the swap scan that scored every cross-partition
 pair, one array block per ordered partition pair. `_best_swap` scores
@@ -270,7 +271,9 @@ def reference_refine_swaps(
     Each pass applies the single best loss-reducing swap of two rows or
     two columns that live in different partitions; swaps preserve group
     sizes, so feasibility is maintained. Stops when no swap improves or
-    after max_passes swaps. The returned loss never exceeds the input's.
+    after max_passes swaps. A gain no larger than 64 eps times the
+    largest finite gain of its side may be rounding alone, and is no
+    gain. The returned loss never exceeds the input's.
     """
     p = result.assignment.p
     if p == 1 or max_passes < 1:
@@ -284,10 +287,15 @@ def reference_refine_swaps(
         m[np.arange(len(labels)), labels] = 1.0
         return m
 
+    def noise(gain):
+        finite = np.abs(gain[np.isfinite(gain)])
+        return 64 * np.finfo(float).eps * float(np.max(finite, initial=0.0))
+
     for _ in range(max_passes):
         # row_gain[i, k]: retained weight of row i if it lived in partition k.
         row_gain = abs_w @ one_hot(col_of, p)
         col_gain = abs_w.T @ one_hot(row_of, p)
+        row_noise, col_noise = noise(row_gain), noise(col_gain)
 
         best = (0.0, None)
         for i, j in combinations(range(len(row_of)), 2):
@@ -295,14 +303,14 @@ def reference_refine_swaps(
             if a == b:
                 continue
             g = row_gain[i, b] + row_gain[j, a] - row_gain[i, a] - row_gain[j, b]
-            if g > best[0]:
+            if g > best[0] and g > row_noise:
                 best = (g, ("row", i, j))
         for i, j in combinations(range(len(col_of)), 2):
             a, b = col_of[i], col_of[j]
             if a == b:
                 continue
             g = col_gain[i, b] + col_gain[j, a] - col_gain[i, a] - col_gain[j, b]
-            if g > best[0]:
+            if g > best[0] and g > col_noise:
                 best = (g, ("col", i, j))
 
         if best[1] is None:
@@ -515,7 +523,7 @@ def test_search_matches_mask_based_reference(rows, cols, kind):
         for seed in SEEDS:
             want = reference_greedy(w, p, seed)
             assert_same(greedy_partition(w, p, seed), want)
-            _, _, tracked = _construct(abs_w, p, np.array([seed], dtype=np.uint64))
+            _, _, tracked = _construct(w.data, abs_w, p, np.array([seed], dtype=np.uint64))
             assert tracked[0] == pytest.approx(want.retained_abs_weight,
                                                rel=1e-12, abs=1e-300)
             assert tracked[0] == _greedy_assignment(abs_w, p, seed)[1]
@@ -557,7 +565,7 @@ def edge_matrix(rows, cols, kind):
 
 def assert_lockstep_matches(w, p, restarts, seed):
     abs_w = _abs_weights(w)
-    row_of, col_of, tracked = _construct(abs_w, p, stream_array(seed, restarts))
+    row_of, col_of, tracked = _construct(w.data, abs_w, p, stream_array(seed, restarts))
     for r in range(restarts):
         want, want_tracked = _greedy_assignment(abs_w, p, stream_element(seed, r))
         assert (row_of[r] == want.row_of).all(), r
@@ -581,6 +589,9 @@ def assert_lockstep_matches(w, p, restarts, seed):
     (17, 13, "ties", 3, 32),  # one indexed add per column for the block
     (9, 6, "near_ties", 2, 1),
     (6, 4096, "ties", 3, 40),  # founding runs in blocks of 16 restarts
+    # Rows past _INDEXED_ADD_ROWS: the column pass adds through views,
+    # in blocks of 36 restarts and then 4.
+    (600, 6, "ties", 3, 40),
 ])
 def test_lockstep_matches_per_restart_construction(rows, cols, kind, p, restarts):
     w = edge_matrix(rows, cols, kind)
@@ -591,6 +602,15 @@ def test_lockstep_matches_per_restart_construction(rows, cols, kind, p, restarts
         order = reference_permutation(stream_element(5, 0), rows)
         row_of = greedy_partition(w, p, stream_element(5, 0)).assignment.row_of
         assert row_of[order[-4:]].tolist() == [3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 9), (63, 63), (64, 64), (65, 65),
+                                       (130, 130), (130, 7), (7, 130)])
+def test_abs_weights_is_the_transposing_abs(rows, cols):
+    w = corpus_matrix(rows, cols, "gauss")
+    got = _abs_weights(w)
+    assert got.flags.f_contiguous
+    assert got.T.tobytes() == np.abs(w.data.T, order="C").tobytes()
 
 
 def test_lockstep_ties_across_restart_blocks():
@@ -983,7 +1003,7 @@ def test_multi_restart_scores_each_distinct_near_assignment_once(kind, p, monkey
     w = edge_matrix(8, 8, kind)
     restarts, seed = 256, 0
     abs_w = _abs_weights(w)
-    row_of, col_of, tracked = _construct(abs_w, p, stream_array(seed, restarts))
+    row_of, col_of, tracked = _construct(w.data, abs_w, p, stream_array(seed, restarts))
     near = np.flatnonzero(tracked >= tracked.max() - 1e-6 * max(abs_w.sum(), 1.0))
     distinct = len(np.unique(np.hstack([row_of[near], col_of[near]]), axis=0))
     assert len(near) > distinct > 1
