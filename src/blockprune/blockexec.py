@@ -54,13 +54,12 @@ def _split_blocks(
     weights: WeightMatrix, assignment: PartitionAssignment
 ) -> BlockDecomposition:
     """`decompose` for an assignment already checked against the weights."""
-    row_perm = np.lexsort((np.arange(weights.rows), assignment.row_of))
-    col_perm = np.lexsort((np.arange(weights.cols), assignment.col_of))
-    blocks = []
-    for k in range(assignment.p):
-        rows_k = np.flatnonzero(assignment.row_of == k)
-        cols_k = np.flatnonzero(assignment.col_of == k)
-        blocks.append(weights.data[np.ix_(rows_k, cols_k)])
+    row_perm = np.argsort(assignment.row_of, kind="stable")
+    col_perm = np.argsort(assignment.col_of, kind="stable")
+    # Partition k's nodes, in index order, are run k of each permutation.
+    row_cuts, col_cuts = (np.cumsum(n)[:-1] for n in assignment.sizes)
+    blocks = [weights.data[np.ix_(rows_k, cols_k)] for rows_k, cols_k in
+              zip(np.split(row_perm, row_cuts), np.split(col_perm, col_cuts))]
     return BlockDecomposition(
         p=assignment.p,
         row_perm=row_perm,

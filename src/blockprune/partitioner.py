@@ -299,30 +299,8 @@ def _assign_rest(abs_w, p, order, row_of, col_of, counts, retained):
     retained[:] = np.cumsum(np.hstack([retained[:, None], picks]), axis=1)[:, -1]
 
 
-def greedy_partition(weights: WeightMatrix, p: int, seed: int) -> PruneResult:
-    """One full greedy construction from a seeded random row order.
-
-    Raises ValueError when the sum of |W| overflows, as multi_restart does.
-    """
-    rows, cols = weights.rows, weights.cols
-    p = check_int(p, 1, min(rows, cols), _P_RANGE.format(p, min(rows, cols), rows, cols))
-    seed = check_int(seed, -math.inf, math.inf, "seed must be an integer")
-    abs_w = _abs_weights(weights)
-    _margin(abs_w)  # refuses a layer whose sum of |W| overflows
-    seeds = np.array([seed & MASK64], dtype=np.uint64)
-    row_of, col_of, _ = _construct(weights.data, abs_w, p, seeds)
-    assignment = PartitionAssignment(p=p, row_of=row_of[0], col_of=col_of[0])
-    return result_from_assignment(weights, assignment, seed=seed, restarts=1)
-
-
-def multi_restart(
-    weights: WeightMatrix, p: int, restarts: int, seed: int
-) -> PruneResult:
-    """Best of `restarts` independent greedy runs.
-
-    Restart r uses stream element r of the master seed, so restarts are
-    mutually independent and may run in any order; the kept result is the
-    minimum loss with ties broken by lowest restart index.
+def _best_of(weights: WeightMatrix, p: int, seeds: np.ndarray, seed: int) -> PruneResult:
+    """The best of one greedy construction per uint64 seed in `seeds`.
 
     Restarts are ranked by the retained weight each construction tracks,
     with no mask built. The canonical `weight_loss` is then computed only
@@ -330,21 +308,11 @@ def multi_restart(
     far wider than any rounding in the tracking, and only once for each
     distinct assignment among them, so the kept restart is the one a full
     exact scoring of every restart would keep.
-
-    Raises ValueError, before allocating, when restarts * (rows + cols)
-    exceeds MAX_RESTART_LABELS, and when the sum of |W| overflows.
     """
     rows, cols = weights.rows, weights.cols
-    restarts = check_int(restarts, 1, math.inf, "restarts must be >= 1")
-    labels = restarts * (rows + cols)
-    check_int(labels, 1, MAX_RESTART_LABELS,
-              f"{restarts} restarts of a {rows}x{cols} layer keep {labels} "
-              f"labels, more than the limit of {MAX_RESTART_LABELS}")
     p = check_int(p, 1, min(rows, cols), _P_RANGE.format(p, min(rows, cols), rows, cols))
-    seed = check_int(seed, -math.inf, math.inf, "seed must be an integer")
     abs_w = _abs_weights(weights)
     margin = _margin(abs_w)
-    seeds = stream_array(seed, restarts)
     row_of, col_of, tracked = _construct(weights.data, abs_w, p, seeds)
     # Free |W| before the exact pass allocates its own n x n temporaries.
     del abs_w
@@ -358,7 +326,38 @@ def multi_restart(
     winner = near[0]
     if len(near) > 1:
         winner = min(near, key=lambda a: weight_loss(weights, mask_of(a)))
-    return result_from_assignment(weights, winner, seed=seed, restarts=restarts)
+    return result_from_assignment(weights, winner, seed=seed, restarts=len(seeds))
+
+
+def greedy_partition(weights: WeightMatrix, p: int, seed: int) -> PruneResult:
+    """multi_restart's search with one construction, seeded by `seed` itself.
+
+    Raises ValueError when the sum of |W| overflows, as multi_restart does.
+    """
+    seed = check_int(seed, -math.inf, math.inf, "seed must be an integer")
+    return _best_of(weights, p, np.array([seed & MASK64], dtype=np.uint64), seed)
+
+
+def multi_restart(
+    weights: WeightMatrix, p: int, restarts: int, seed: int
+) -> PruneResult:
+    """Best of `restarts` independent greedy runs.
+
+    Restart r uses stream element r of the master seed, so restarts are
+    mutually independent and may run in any order; the kept result is the
+    minimum loss with ties broken by lowest restart index.
+
+    Raises ValueError, before allocating, when restarts * (rows + cols)
+    exceeds MAX_RESTART_LABELS, and when the sum of |W| overflows.
+    """
+    rows, cols = weights.rows, weights.cols
+    restarts = check_int(restarts, 1, math.inf, "restarts must be >= 1")
+    labels = restarts * (rows + cols)
+    check_int(labels, 1, MAX_RESTART_LABELS,
+              f"{restarts} restarts of a {rows}x{cols} layer keep {labels} "
+              f"labels, more than the limit of {MAX_RESTART_LABELS}")
+    seed = check_int(seed, -math.inf, math.inf, "seed must be an integer")
+    return _best_of(weights, p, stream_array(seed, restarts), seed)
 
 
 def _one_hot(labels: np.ndarray, n: int) -> np.ndarray:
@@ -698,19 +697,14 @@ def brute_force_partition(
     splits, index = _column_splits(cols, p)
 
     bound = _row_bounds(abs_w, groupings, p)
-    # The row of the largest bound comes first, and its best entry rules
-    # out every row whose bound lies below it minus the margin; only the
-    # rows left are sorted by bound, the first of them that row.
-    first = bound.argmax(keepdims=True)
-    table = _table_rows(_group_sums(abs_w, groupings[first], p), index)
-    best = float(table.max())
-    built = [(first, table)]  # (groupings, their table rows), batch by batch
-    order = np.flatnonzero(bound >= best - margin)
-    order = order[np.argsort(-bound[order], kind="stable")]
-    # desc[:n] are the n largest bounds, negated; n = searchsorted(...)
-    # counts the bounds at or above best - margin.
+    # Rows by descending bound, ties to the lowest index; desc[:n] are
+    # the n largest bounds, negated, and n = searchsorted(...) counts the
+    # bounds at or above best - margin.
+    order = np.argsort(-bound, kind="stable")
     desc = -bound[order]  # ascending
-    done = 1
+    built = []  # (groupings, their table rows), batch by batch
+    best = -math.inf
+    done = 0
     while True:
         stop = min(2 * done + 1, int(np.searchsorted(desc, margin - best, side="right")))
         if stop <= done:

@@ -196,9 +196,9 @@ def sa_matmul_cycles(m: int, k: int, n: int, s: int) -> int:
     """
     m, k, n, s = (check_int(dim, 1, math.inf, "matmul dimensions and array size "
                             "must be >= 1") for dim in (m, k, n, s))
-    if max(m, n) > sys.float_info.max:  # so that m / s and n / s fit
+    if max(m, n) > sys.float_info.max:  # every time is computed as a float
         raise ValueError("matmul dimensions do not fit a finite float")
-    tiles = math.ceil(m / s) * math.ceil(n / s)
+    tiles = -(-m // s) * -(-n // s)
     return tiles * (k + CYCLES_FILL_DRAIN * s - 2)
 
 

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
-from blockprune.blockexec import decompose, masked_matvec, partitioned_matvec
+from blockprune.blockexec import (
+    BlockDecomposition,
+    decompose,
+    masked_matvec,
+    partitioned_matvec,
+)
 from blockprune.core import (
     LinkMask,
     PartitionAssignment,
     WeightMatrix,
+    partition_capacities,
 )
 from blockprune.generate import blockdiag_matrix, uniform_matrix
 from blockprune.partitioner import greedy_partition, multi_restart
@@ -179,3 +185,48 @@ class TestBatchedInput:
             masked_matvec(self.w, self.res.mask, bad)
         with pytest.raises(ValueError, match="length"):
             partitioned_matvec(decompose(self.w, self.res.assignment), bad)
+
+
+def reference_split(weights, assignment):
+    """Blocks cut with one lexsort per side and one scan per partition."""
+    row_perm = np.lexsort((np.arange(weights.rows), assignment.row_of))
+    col_perm = np.lexsort((np.arange(weights.cols), assignment.col_of))
+    blocks = []
+    for k in range(assignment.p):
+        rows_k = np.flatnonzero(assignment.row_of == k)
+        cols_k = np.flatnonzero(assignment.col_of == k)
+        blocks.append(weights.data[np.ix_(rows_k, cols_k)])
+    return BlockDecomposition(p=assignment.p, row_perm=row_perm,
+                              col_perm=col_perm, blocks=tuple(blocks))
+
+
+def shuffled_assignment(rows, cols, p, seed):
+    """A feasible assignment: each side's balanced sizes, labels shuffled."""
+    rng = np.random.default_rng(seed)
+    sides = []
+    for n in (rows, cols):
+        labels = rng.permutation(p)[np.repeat(np.arange(p), partition_capacities(n, p))]
+        sides.append(rng.permutation(labels))
+    return PartitionAssignment(p, *sides)
+
+
+class TestSplitReference:
+    @pytest.mark.parametrize("rows,cols,p", [
+        (8, 8, 3), (7, 10, 3), (13, 5, 2), (6, 9, 1), (9, 6, 1),
+        (6, 9, 6), (9, 4, 4), (12, 12, 12), (1, 1, 1)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_lexsort_and_scans(self, rows, cols, p, seed):
+        w = WeightMatrix(np.random.default_rng(100 + seed).standard_normal((rows, cols)))
+        a = shuffled_assignment(rows, cols, p, seed)
+        got = decompose(w, a)
+        want = reference_split(w, a)
+        for field in ("row_perm", "col_perm"):
+            g, h = getattr(got, field), getattr(want, field)
+            assert g.dtype == h.dtype and np.array_equal(g, h)
+        assert len(got.blocks) == len(want.blocks) == p
+        for g, h in zip(got.blocks, want.blocks):
+            assert g.shape == h.shape and g.tobytes() == h.tobytes()
+        x = np.random.default_rng(seed).standard_normal((3, rows))
+        for v in (x, x[0]):
+            assert (partitioned_matvec(got, v).tobytes()
+                    == partitioned_matvec(want, v).tobytes())

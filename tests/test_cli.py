@@ -391,11 +391,13 @@ class TestSimulate:
             "p_static_mw")],
         ("e_mac_pj", 10**302),
         ("e_mac_pj", 1e305),
+        ("sa_dim", 10**400),
     ], ids=lambda v: f"10**{len(str(v)) - 1}" if isinstance(v, int) else str(v))
     def test_config_value_too_large_for_a_float_exits_2(self, tmp_path, capsys,
                                                         field, value):
         # Once an OverflowError traceback, or for 1e305 an exit 0 with an
-        # infinite energy and a NaN energy ratio in the report.
+        # infinite energy and a NaN energy ratio in the report, or for
+        # sa_dim an exit 0 with zero busy cycles.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({field: value}))
         report = tmp_path / "s.json"

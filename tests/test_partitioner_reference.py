@@ -1019,3 +1019,20 @@ def test_multi_restart_scores_each_distinct_near_assignment_once(kind, p, monkey
     monkeypatch.setattr(partitioner, "weight_loss", counting)
     assert_same(multi_restart(w, p, restarts, seed), want)
     assert len(calls) == distinct
+
+
+@pytest.mark.parametrize("kind,p", [("uniform", 4), ("ones", 2)])
+def test_greedy_partition_scores_no_restart(kind, p, monkeypatch):
+    # One construction seed leaves one near restart, kept unscored.
+    w = edge_matrix(8, 8, kind)
+    calls = []
+    loss = partitioner.weight_loss
+
+    def counting(weights, mask):
+        calls.append(mask)
+        return loss(weights, mask)
+
+    monkeypatch.setattr(partitioner, "weight_loss", counting)
+    for seed in (0, 1, -1, 2**64 + 3):
+        assert_same(greedy_partition(w, p, seed), reference_greedy(w, p, seed))
+    assert calls == []

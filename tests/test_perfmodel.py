@@ -40,6 +40,15 @@ class TestSaMatmulCycles:
         with pytest.raises(ValueError):
             sa_matmul_cycles(0, 1, 1, 32)
 
+    def test_tile_count_is_exact_past_2_to_the_53(self):
+        # Float ceilings once rounded 2**53 + 1 down and came out 3 short.
+        assert sa_matmul_cycles(2**53 + 1, 1, 1, 2) == (2**52 + 1) * 3
+
+    def test_array_past_a_float_is_one_tile(self):
+        # Float ceilings once gave 1 / 10**400 == 0.0 and so zero tiles.
+        s = 10**400
+        assert sa_matmul_cycles(1, 1, 1, s) == 1 + 2 * s - 2
+
 
 class TestSimulate:
     def test_single_job_against_itself(self):
