@@ -23,9 +23,12 @@ number of elements, or those of one restart on a layer too large for
 that.
 
 Founding usually ends within the first few dozen rows visited. From then
-on the column sets are frozen, so the scores of all remaining rows come
-from one pass over the columns, added in the same order as scoring each
-row alone, and so bit-identical to it. Until some partition fills, every
+on the column sets are frozen, so one matrix product per block of
+restarts scores all remaining rows. It adds in another order than
+scoring a row alone, so its sums may round apart from those; a row whose
+scores lie within that rounding of each other is scored again in column
+order, so every comparison of two scores, and so every label, is that of
+scoring each row alone. Until some partition fills, every
 remaining row joins the lowest-index best open partition. So the rows
 left are labelled in at most p rounds, each ending at a fill event: the
 row that brings a partition to its row capacity and closes it.
@@ -90,23 +93,6 @@ class OracleResult:
     enumerated: int
 
 
-# _abs_weights transposes in strips of this many full-width rows: a strip
-# reads its rows in order and writes a run of 64 floats (512 bytes) to
-# each column. Measured on a 2-vCPU Xeon, against 37 and 220 ms for one
-# transposing np.abs at 2048 and 4096 square: strips of 64 rows took
-# 13.6 and 82 ms, of 32 rows 14.6 and 95 ms, of 128 rows 14.2 and 174 ms.
-_STRIP_ROWS = 64
-
-
-def _abs_weights(weights: WeightMatrix) -> np.ndarray:
-    """|W| in column-major order, so every column is one contiguous run."""
-    data = weights.data
-    out = np.empty((data.shape[1], data.shape[0]))
-    for lo in range(0, data.shape[0], _STRIP_ROWS):
-        np.abs(data[lo:lo + _STRIP_ROWS].T, out=out[:, lo:lo + _STRIP_ROWS])
-    return out.T
-
-
 def _margin(abs_w: np.ndarray) -> float:
     """The ranking margin, 1e-6 * max(sum |W|, 1).
 
@@ -123,37 +109,20 @@ def _margin(abs_w: np.ndarray) -> float:
 
 # Restarts are built in blocks whose temporaries hold at most this many
 # elements (512 KB of floats): (restarts, cols) while founding, and
-# (restarts, p, rows) scores after it. A block holds at least one
-# restart, so the bound holds only while cols and p * rows are at most
-# this; a larger layer's temporaries are those of one restart.
+# (restarts, p, rows) scores and (restarts, p, cols) column indicators
+# after it. A block holds at least one restart, so the bound holds only
+# while cols and p * max(rows, cols) are at most this; a larger layer's
+# temporaries are those of one restart.
 _BLOCK_ELEMENTS = 1 << 16
 
 
-# The column pass adds each column of |W| to one score row per restart.
-# A block of at least _INDEXED_ADD_RESTARTS restarts on a layer of fewer
-# than _INDEXED_ADD_ROWS rows does that with one indexed add per column;
-# otherwise each restart adds in place, through a view of its score row.
-# An indexed add costs several plain adds per call, and its gather and
-# scatter lose on long rows. Measured as whole `_construct` calls on
-# square layers, one BLAS thread on a 2-vCPU Xeon, medians of 25,
-# indexed against views: at p = 3, 256 rows, 32 restarts 12.8 against
-# 15.8 ms, 384 rows 13.0 against 12.4 ms; 512 rows, p = 2 to 5, 18.3 to
-# 26.8 against 17.5 to 26.6 ms; 768 rows 37 to 43 against 31 to 41 ms.
-# At 128 rows, p = 3: 32 restarts 7.1 against 9.2 ms, 16 restarts 5.6
-# against 5.9 ms, 8 restarts 4.3 against 4.2 ms.
-_INDEXED_ADD_RESTARTS = 16
-_INDEXED_ADD_ROWS = 512
-
-
-def _construct(data: np.ndarray, abs_w: np.ndarray, p: int, seeds: np.ndarray) -> tuple:
+def _construct(abs_w: np.ndarray, p: int, seeds: np.ndarray) -> tuple:
     """One greedy construction per uint64 seed, run in lockstep.
 
-    `data` is W in row-major order and `abs_w` is `_abs_weights`'s |W|
-    in column-major order: founding reads whole rows of the first, the
-    column pass whole columns of the second. Returns (row_of, col_of,
-    tracked), shaped (R, rows), (R, cols) and (R,). tracked[r] is the sum
-    of restart r's winning scores, in visit order: its retained |W| up to
-    summation-order rounding.
+    `abs_w` is |W| in row-major order. Returns (row_of, col_of, tracked),
+    shaped (R, rows), (R, cols) and (R,). tracked[r] is the sum of
+    restart r's winning scores, in visit order: its retained |W| up to
+    rounding.
     """
     rows, cols = abs_w.shape
     orders = batch_permutation(seeds, rows)
@@ -164,14 +133,20 @@ def _construct(data: np.ndarray, abs_w: np.ndarray, p: int, seeds: np.ndarray) -
     # Each block is a slice, so the phases fill these arrays in place.
     step = max(1, _BLOCK_ELEMENTS // cols)
     for b in (slice(lo, lo + step) for lo in range(0, len(seeds), step)):
-        _found_partitions(data, p, orders[b], row_of[b], col_of[b], counts[b], tracked[b])
-    step = max(1, _BLOCK_ELEMENTS // (p * rows))
+        _found_partitions(abs_w, p, orders[b], row_of[b], col_of[b], counts[b], tracked[b])
+    # A sum of n terms of |W|, in any order, lies within about n u times
+    # their total of the exact sum (u = eps / 2, Higham ch. 4), so a
+    # row's BLAS score and its column-order score differ by at most about
+    # cols eps rowsum. Two BLAS scores more than twice that apart keep
+    # their order in column-order sums; tol is twice that again.
+    tol = 4 * cols * np.finfo(float).eps * abs_w.sum(axis=1)
+    step = max(1, _BLOCK_ELEMENTS // (p * max(rows, cols)))
     for b in (slice(lo, lo + step) for lo in range(0, len(seeds), step)):
-        _assign_rest(abs_w, p, orders[b], row_of[b], col_of[b], counts[b], tracked[b])
+        _assign_rest(abs_w, tol, p, orders[b], row_of[b], col_of[b], counts[b], tracked[b])
     return row_of, col_of, tracked
 
 
-def _found_partitions(data, p, order, row_of, col_of, counts, retained):
+def _found_partitions(abs_w, p, order, row_of, col_of, counts, retained):
     """Visit rows one step at a time until every restart has founded p.
 
     Each step takes the next row of every restart still founding. Every
@@ -182,15 +157,14 @@ def _found_partitions(data, p, order, row_of, col_of, counts, retained):
     """
     count, rows = order.shape
     row_caps = np.array(partition_capacities(rows, p))
-    col_caps = partition_capacities(data.shape[1], p)
+    col_caps = partition_capacities(abs_w.shape[1], p)
     founded = np.zeros(count, dtype=np.int64)
 
     live = np.arange(count)
     t = 0
     while len(live):
         r = order[live, t]
-        vals = data[r]  # a copy; each row is read as one contiguous run
-        np.abs(vals, out=vals)
+        vals = abs_w[r]  # each row is read as one contiguous run
         f = founded[live]
         labels = col_of[live]
         # One bincount over all restarts adds each row over each of its
@@ -234,17 +208,19 @@ def _found_partitions(data, p, order, row_of, col_of, counts, retained):
         t += 1
 
 
-def _assign_rest(abs_w, p, order, row_of, col_of, counts, retained):
+def _assign_rest(abs_w, tol, p, order, row_of, col_of, counts, retained):
     """Give every row left after founding its best open partition.
 
-    Column sets are frozen now, so one pass over the columns scores every
-    row against every partition, adding each row's magnitudes in column
-    order, bit-equal to scoring it alone. A row's label is then the
-    lowest-index argmax over the partitions still open, and the open set
-    changes only when a partition fills. So each round commits the rows
-    up to the first that fills a partition, closes it, and relabels only
-    the rows that had chosen it: at most p rounds. Fills row_of in place
-    and turns retained into the tracked weight.
+    Column sets are frozen now, so one matrix product scores every row
+    against every partition. A row whose p scores lie more than tol[row]
+    apart has the same order of scores as adding its magnitudes in column
+    order; any other row, ties among them, is scored again in column
+    order, as scoring it alone does. A row's label is then the lowest-index
+    argmax over the partitions still open, and the open set changes only
+    when a partition fills. So each round commits the rows up to the
+    first that fills a partition, closes it, and relabels only the rows
+    that had chosen it: at most p rounds. Fills row_of in place and turns
+    retained into the tracked weight.
     """
     count, rows = order.shape
     # Founding placed each restart's first counts.sum() rows visited.
@@ -252,19 +228,26 @@ def _assign_rest(abs_w, p, order, row_of, col_of, counts, retained):
     if not todo.any():
         return  # every row was placed while founding, as when p == rows
     row_caps = np.array(partition_capacities(rows, p))
-    score = np.zeros((count * p, rows))
-    dest = (np.arange(count)[:, None] * p + col_of).T  # score row of column j
-    if count >= _INDEXED_ADD_RESTARTS and rows < _INDEXED_ADD_ROWS:
-        for col, to in zip(abs_w.T, dest):
-            score[to] += col  # one gather-add-scatter for the whole block
-    else:
-        views = list(score)  # one view per score row, built once
-        for col, to in zip(abs_w.T, dest.tolist()):
-            for k in to:
-                views[k] += col
-        del views  # they hold the unsorted scores, freed once sorted below
-    score = score.reshape(count, p, rows)
+    cols = col_of.shape[1]
+    hot = np.zeros((count, p, cols))
+    np.put_along_axis(hot, col_of[:, None, :], 1.0, axis=1)
+    score = (hot.reshape(count * p, cols) @ abs_w.T).reshape(count, p, rows)
     score = np.take_along_axis(score, order[:, None, :], axis=2)  # visit order
+
+    b, t = np.nonzero(todo)
+    gaps = np.diff(np.sort(score[b, :, t], axis=1), axis=1)
+    # Written so that a tie or a NaN gap is not clear.
+    unclear = ~(gaps > tol[order[b, t], None]).all(axis=1)
+    b, t = b[unclear], t[unclear]
+    step = max(1, _BLOCK_ELEMENTS // cols)
+    for lo in range(0, len(b), step):
+        bb, tt = b[lo:lo + step], t[lo:lo + step]
+        # One bincount adds each row over each partition's columns in
+        # index order, as founding does.
+        key = np.arange(len(bb))[:, None] * p + col_of[bb]
+        exact = np.bincount(key.ravel(), weights=abs_w[order[bb, tt]].ravel(),
+                            minlength=len(bb) * p)
+        score[bb, :, tt] = exact.reshape(len(bb), p)
 
     blk = np.arange(count)[:, None]
     pos = np.arange(rows)
@@ -295,7 +278,7 @@ def _assign_rest(abs_w, p, order, row_of, col_of, counts, retained):
         lab[b, t] = np.where(is_open[b], score[b, :, t], -1.0).argmax(axis=1)
 
     # Zeros before each restart's first free row leave the sum exact, and
-    # cumsum adds in visit order, as the row-by-row sum did.
+    # cumsum adds in visit order.
     retained[:] = np.cumsum(np.hstack([retained[:, None], picks]), axis=1)[:, -1]
 
 
@@ -311,9 +294,9 @@ def _best_of(weights: WeightMatrix, p: int, seeds: np.ndarray, seed: int) -> Pru
     """
     rows, cols = weights.rows, weights.cols
     p = check_int(p, 1, min(rows, cols), _P_RANGE.format(p, min(rows, cols), rows, cols))
-    abs_w = _abs_weights(weights)
+    abs_w = np.abs(weights.data)
     margin = _margin(abs_w)
-    row_of, col_of, tracked = _construct(weights.data, abs_w, p, seeds)
+    row_of, col_of, tracked = _construct(abs_w, p, seeds)
     # Free |W| before the exact pass allocates its own n x n temporaries.
     del abs_w
     # Equal labels lose equal weight, so each distinct assignment is

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -703,3 +707,24 @@ class TestDeterminism:
                 "--quiet")
             outs[tag] = [p.read_bytes() for p in (m, r, o, v, s, c)]
         assert outs["x"] == outs["y"]
+
+    def test_prune_does_not_depend_on_blas_threads(self, tmp_path):
+        # The search scores rows with a matrix product; its labels, and
+        # so the --out bytes, must not depend on how BLAS splits it.
+        layer = tmp_path / "decimals.csv"
+        values = np.random.default_rng(0).choice(["0.1", "0.2", "0.3", "0.6", "0.7"],
+                                                 (300, 257))
+        layer.write_text("".join(",".join(row) + "\n" for row in values))
+        src = str(Path(cli.__file__).parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"r{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from blockprune.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "prune", str(layer), "-p", "3", "--seed", "1", "--restarts", "16",
+                 "--out", str(out), "--quiet"],
+                env=env, check=True)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]

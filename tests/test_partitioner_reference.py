@@ -12,7 +12,7 @@ with its helpers `_top_columns` and `_best_open`: a Python loop over the
 rows visited while founding, then one over the rows left. It shuffles
 with the pure-Python `reference_permutation`, so it checks the batched
 shuffle too. The lockstep constructor must give every restart the same
-labels and a bit-equal tracked weight.
+labels, and a tracked weight within rounding of the one it adds up.
 
 `reference_brute_force_partition` is the earlier oracle, kept as it was
 with its candidate count `reference_enumeration_size` and its tuple
@@ -44,6 +44,7 @@ only the pairs its separable bound admits, and must return the same
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations, permutations
 
@@ -67,7 +68,6 @@ from blockprune.partitioner import (
     DEFAULT_ORACLE_BUDGET,
     OracleBudgetError,
     OracleResult,
-    _abs_weights,
     _best_swap,
     _column_splits,
     _construct,
@@ -516,17 +516,17 @@ def assert_same(got, want):
 @pytest.mark.parametrize("rows,cols", SHAPES)
 def test_search_matches_mask_based_reference(rows, cols, kind):
     w = corpus_matrix(rows, cols, kind)
-    abs_w = _abs_weights(w)
+    abs_w = np.abs(w.data)
     # Small layers take more restarts: there, equal losses are common.
     restarts = 2 if rows * cols > 10_000 else 6
     for p in range(1, min(8, rows, cols) + 1):
         for seed in SEEDS:
             want = reference_greedy(w, p, seed)
             assert_same(greedy_partition(w, p, seed), want)
-            _, _, tracked = _construct(w.data, abs_w, p, np.array([seed], dtype=np.uint64))
+            _, _, tracked = _construct(abs_w, p, np.array([seed], dtype=np.uint64))
             assert tracked[0] == pytest.approx(want.retained_abs_weight,
                                                rel=1e-12, abs=1e-300)
-            assert tracked[0] == _greedy_assignment(abs_w, p, seed)[1]
+            assert_tracked_near(tracked[0], _greedy_assignment(abs_w, p, seed)[1], abs_w)
             assert_same(multi_restart(w, p, restarts, seed),
                         reference_multi_restart(w, p, restarts, seed))
 
@@ -548,6 +548,10 @@ def edge_matrix(rows, cols, kind):
         # candidate that ties the optimum can rank just below the best.
         rng = np.random.default_rng([rows, cols])
         return WeightMatrix(rng.choice([0.1, 0.2, 0.3, 0.6, 0.7], (rows, cols)))
+    if kind == "tenths":
+        # Fewer values, so more sums that are equal exactly.
+        rng = np.random.default_rng([rows, cols])
+        return WeightMatrix(rng.choice([0.1, 0.2, 0.3], (rows, cols)))
     if kind == "zeros":
         # Every candidate ties at zero retained weight.
         return WeightMatrix(np.zeros((rows, cols)))
@@ -563,14 +567,27 @@ def edge_matrix(rows, cols, kind):
     return corpus_matrix(rows, cols, kind)
 
 
+def assert_tracked_near(got, want, abs_w):
+    """The tracked weight against the column-order one, within rounding.
+
+    The two add the same winning scores in the same order, but a score
+    from the matrix product may differ from its column-order sum by about
+    cols eps times its row's sum of |W|, and each addition of the rows
+    rounds by at most eps/2 of the total: so they differ by at most about
+    (rows + cols) eps sum |W|. Twice that leaves headroom.
+    """
+    rows, cols = abs_w.shape
+    assert abs(got - want) <= 2 * (rows + cols) * np.finfo(float).eps * abs_w.sum()
+
+
 def assert_lockstep_matches(w, p, restarts, seed):
-    abs_w = _abs_weights(w)
-    row_of, col_of, tracked = _construct(w.data, abs_w, p, stream_array(seed, restarts))
+    abs_w = np.abs(w.data)
+    row_of, col_of, tracked = _construct(abs_w, p, stream_array(seed, restarts))
     for r in range(restarts):
         want, want_tracked = _greedy_assignment(abs_w, p, stream_element(seed, r))
         assert (row_of[r] == want.row_of).all(), r
         assert (col_of[r] == want.col_of).all(), r
-        assert tracked[r] == want_tracked, r
+        assert_tracked_near(tracked[r], want_tracked, abs_w)
     assert_same(multi_restart(w, p, restarts, seed),
                 reference_multi_restart(w, p, restarts, seed))
     return tracked
@@ -586,12 +603,16 @@ def assert_lockstep_matches(w, p, restarts, seed):
     (12, 10, "ones", 2, 8),
     (12, 10, "ones", 4, 8),
     (17, 13, "ties", 3, 1),  # one restart
-    (17, 13, "ties", 3, 32),  # one indexed add per column for the block
+    (17, 13, "ties", 3, 32),
     (9, 6, "near_ties", 2, 1),
-    (6, 4096, "ties", 3, 40),  # founding runs in blocks of 16 restarts
-    # Rows past _INDEXED_ADD_ROWS: the column pass adds through views,
-    # in blocks of 36 restarts and then 4.
-    (600, 6, "ties", 3, 40),
+    # Founding runs in blocks of 16 restarts, the rest in blocks of 5.
+    (6, 4096, "ties", 3, 40),
+    (600, 6, "ties", 3, 40),  # the rest in blocks of 36 restarts and then 4
+    # Scores that tie exactly but round apart in the matrix product, so
+    # only rescoring in column order gives the right labels.
+    *[(rows, cols, kind, p, 8)
+      for rows, cols in [(40, 300), (64, 512), (200, 200), (30, 1000)]
+      for kind in ("decimals", "tenths") for p in (2, 3)],
 ])
 def test_lockstep_matches_per_restart_construction(rows, cols, kind, p, restarts):
     w = edge_matrix(rows, cols, kind)
@@ -604,13 +625,19 @@ def test_lockstep_matches_per_restart_construction(rows, cols, kind, p, restarts
         assert row_of[order[-4:]].tolist() == [3, 4, 5, 6]
 
 
-@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 9), (63, 63), (64, 64), (65, 65),
-                                       (130, 130), (130, 7), (7, 130)])
-def test_abs_weights_is_the_transposing_abs(rows, cols):
-    w = corpus_matrix(rows, cols, "gauss")
-    got = _abs_weights(w)
-    assert got.flags.f_contiguous
-    assert got.T.tobytes() == np.abs(w.data.T, order="C").tobytes()
+def test_construct_temporaries_stay_small_on_wide_layers():
+    # Blocks after founding are sized by p * max(rows, cols): on a wide
+    # layer the column indicators of a block, not its scores, are the
+    # larger temporary.
+    abs_w = np.abs(corpus_matrix(8, 4096, "gauss").data)
+    tracemalloc.start()
+    try:
+        row_of, col_of, _ = _construct(abs_w, 3, stream_array(5, 600))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The labels kept, and a few temporaries of _BLOCK_ELEMENTS floats.
+    assert peak - row_of.nbytes - col_of.nbytes < 16 * _BLOCK_ELEMENTS * 8
 
 
 def test_lockstep_ties_across_restart_blocks():
@@ -1002,8 +1029,8 @@ def test_oracle_builds_few_table_rows(monkeypatch):
 def test_multi_restart_scores_each_distinct_near_assignment_once(kind, p, monkeypatch):
     w = edge_matrix(8, 8, kind)
     restarts, seed = 256, 0
-    abs_w = _abs_weights(w)
-    row_of, col_of, tracked = _construct(w.data, abs_w, p, stream_array(seed, restarts))
+    abs_w = np.abs(w.data)
+    row_of, col_of, tracked = _construct(abs_w, p, stream_array(seed, restarts))
     near = np.flatnonzero(tracked >= tracked.max() - 1e-6 * max(abs_w.sum(), 1.0))
     distinct = len(np.unique(np.hstack([row_of[near], col_of[near]]), axis=0))
     assert len(near) > distinct > 1
