@@ -389,7 +389,7 @@ def main(argv=None) -> int:
     except OracleBudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:  # json.JSONDecodeError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -281,13 +281,6 @@ def _check_side(labels: np.ndarray, n: int, p: int, name: str, out: list):
                 f"lower bound floor({n}/{p})={lo} not met"
             )
             return
-    want_hi = n % p
-    got_hi = int((sizes == hi).sum()) if hi != lo else want_hi
-    if got_hi != want_hi:
-        out.append(
-            f"{name} side has {got_hi} partitions at the upper bound {hi}, "
-            f"expected {n} mod {p} = {want_hi}"
-        )
 
 
 def validate_assignment(
@@ -296,8 +289,9 @@ def validate_assignment(
     """Check balance bounds on both sides; never raises.
 
     Accepts iff every partition's row and column counts sit within the
-    floor/ceil bounds and the number of upper-bound partitions matches
-    n mod p on each side. The first violation found is reported first.
+    floor/ceil bounds. The counts of a side sum to its n, so n mod p of
+    them then sit at the upper bound. The first violation found is
+    reported first.
     """
     violations: list = []
     _check_side(assignment.row_of, rows, assignment.p, "row", violations)

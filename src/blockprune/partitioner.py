@@ -2,13 +2,14 @@
 
 The constructor processes rows in a seeded random order. The first row
 founds partition 0 and claims the columns with the largest magnitudes in
-that row, as many as the partition's column capacity. Every later row is
-scored against each founded partition that still has row capacity (score:
-sum of the row's magnitudes over the partition's column set) and against
-founding the next partition (score: best attainable sum over columns not
-yet claimed); the highest score wins. Founding is forced whenever exactly
-enough rows remain to found the missing partitions. Column sets are fixed
-at founding time and never reopened.
+that row, as many as the partition's column capacity, ties to the lowest
+column. Every later row is scored against each founded partition that
+still has row capacity (score: sum of the row's magnitudes over the
+partition's column set) and against founding the next partition (score:
+best attainable sum over columns not yet claimed); the highest score
+wins. Founding is forced whenever exactly enough rows remain to found
+the missing partitions. Column sets are fixed at founding time and never
+reopened.
 
 Row and column capacities are consumed in founding order, largest first,
 so the first-founded partition is the largest on both sides. All ties
@@ -27,20 +28,22 @@ on the column sets are frozen, so one matrix product per block of
 restarts scores all remaining rows. It adds in another order than
 scoring a row alone, so its sums may round apart from those; a row whose
 scores lie within that rounding of each other is scored again in column
-order, so every comparison of two scores, and so every label, is that of
-scoring each row alone. Until some partition fills, every
-remaining row joins the lowest-index best open partition. So the rows
-left are labelled in at most p rounds, each ending at a fill event: the
-row that brings a partition to its row capacity and closes it.
+order, by the code that scores founding rows, so every comparison of two
+scores, and so every label, is that of scoring each row alone. Until
+some partition fills, every remaining row joins the lowest-index best
+open partition. So the rows left are labelled in at most p rounds, each
+ending at a fill event: the row that brings a partition to its row
+capacity and closes it.
 
 A multi-restart wrapper keeps the best of many independent constructions.
-Each construction tracks its retained weight (the sum of its winning
-scores), so restarts are ranked without building a mask; the canonical
-loss is computed only for the restarts that tie the best within a margin
-far wider than rounding, so the result is that of scoring every restart
-exactly. An optional local search polishes a result by swapping node
-pairs across partitions, and a brute-force oracle computes the exact
-optimum on small instances for verification.
+Each construction tracks its retained weight, the sum of its winning
+scores in whatever order the phases add them, so restarts are ranked
+without building a mask. That sum is only a ranking key: the canonical
+loss is computed for the restarts whose key ties the best within a
+margin far wider than rounding, so the result is that of scoring every
+restart exactly. An optional local search polishes a result by swapping
+node pairs across partitions, and a brute-force oracle computes the
+exact optimum on small instances for verification.
 """
 
 from __future__ import annotations
@@ -121,8 +124,8 @@ def _construct(abs_w: np.ndarray, p: int, seeds: np.ndarray) -> tuple:
 
     `abs_w` is |W| in row-major order. Returns (row_of, col_of, tracked),
     shaped (R, rows), (R, cols) and (R,). tracked[r] is the sum of
-    restart r's winning scores, in visit order: its retained |W| up to
-    rounding.
+    restart r's winning scores: its retained |W| up to rounding, a key
+    that ranks restarts within `_margin`.
     """
     rows, cols = abs_w.shape
     orders = batch_permutation(seeds, rows)
@@ -146,6 +149,18 @@ def _construct(abs_w: np.ndarray, p: int, seeds: np.ndarray) -> tuple:
     return row_of, col_of, tracked
 
 
+def _column_scores(vals: np.ndarray, labels: np.ndarray, p: int) -> np.ndarray:
+    """scores[i, k]: the sum of vals[i] over the columns labels[i] puts in k.
+
+    One bincount adds each row's values in column order, as scoring each
+    row alone does. A column labelled -1 counts for no partition.
+    """
+    n = len(vals)
+    assigned = labels >= 0
+    key = (np.arange(n)[:, None] * p + labels)[assigned]
+    return np.bincount(key, weights=vals[assigned], minlength=n * p).reshape(n, p)
+
+
 def _found_partitions(abs_w, p, order, row_of, col_of, counts, retained):
     """Visit rows one step at a time until every restart has founded p.
 
@@ -153,7 +168,9 @@ def _found_partitions(abs_w, p, order, row_of, col_of, counts, retained):
     founded partition with a free row scores the row's sum over its
     columns; founding the next partition scores the sum of the row's
     largest free magnitudes. The best score wins and founding loses ties.
-    Labels, row counts and retained weight are filled in place.
+    A founding row claims its cap largest free columns, ties to the lowest
+    column. Labels, row counts and retained weight (the sum of the scores
+    that won) are filled in place.
     """
     count, rows = order.shape
     row_caps = np.array(partition_capacities(rows, p))
@@ -167,15 +184,10 @@ def _found_partitions(abs_w, p, order, row_of, col_of, counts, retained):
         vals = abs_w[r]  # each row is read as one contiguous run
         f = founded[live]
         labels = col_of[live]
-        # One bincount over all restarts adds each row over each of its
-        # partitions' columns in index order, as a bincount per row does.
-        assigned = labels >= 0
-        key = (np.arange(len(live))[:, None] * p + labels)[assigned]
-        scores = np.bincount(key, weights=vals[assigned], minlength=len(live) * p)
         # Once only p - f rows are left, every founded partition is full
         # (each unfounded one still needs a row), so founding then wins.
         open_ = (np.arange(p) < f[:, None]) & (counts[live] < row_caps)
-        scores = np.where(open_, scores.reshape(len(live), p), -1.0)
+        scores = np.where(open_, _column_scores(vals, labels, p), -1.0)
         lab = scores.argmax(axis=1)  # ties to the lowest partition
         gain = scores[np.arange(len(live)), lab]
 
@@ -185,20 +197,14 @@ def _found_partitions(abs_w, p, order, row_of, col_of, counts, retained):
             free = np.nonzero(labels[g] < 0)[1].reshape(len(g), -1)
             free_vals = vals[g[:, None], free]
             top = np.partition(free_vals, free.shape[1] - cap, axis=1)[:, -cap:]
+            founding = top.sum(axis=1)
             # Founding loses ties; with no open partition gain is -1.
-            won = top.sum(axis=1) > gain[g]
-            g, top, free, free_vals = g[won], top[won], free[won], free_vals[won]
-            # The cap largest |w|, ties to the lowest column: all above the
-            # cap-th largest (top[:, 0]), then the first ones equal to it.
-            above = free_vals > top[:, :1]
-            ties = free_vals == top[:, :1]
-            short = cap - above.sum(axis=1, keepdims=True)
-            b, i = np.nonzero(above | (ties & (np.cumsum(ties, axis=1) <= short)))
-            col_of[live[g[b]], free[b, i]] = fv
+            won = founding > gain[g]
+            g = g[won]
+            pick = np.argsort(-free_vals[won], axis=1, kind="stable")[:, :cap]
+            col_of[live[g[:, None]], np.take_along_axis(free[won], pick, axis=1)] = fv
             lab[g] = fv
-            # Summed largest first, as the picked columns come.
-            desc = -np.sort(-top, axis=1)
-            gain[g] = desc.sum(axis=1)
+            gain[g] = founding[won]
             founded[live[g]] += 1
 
         row_of[live, r] = lab
@@ -215,12 +221,13 @@ def _assign_rest(abs_w, tol, p, order, row_of, col_of, counts, retained):
     against every partition. A row whose p scores lie more than tol[row]
     apart has the same order of scores as adding its magnitudes in column
     order; any other row, ties among them, is scored again in column
-    order, as scoring it alone does. A row's label is then the lowest-index
-    argmax over the partitions still open, and the open set changes only
-    when a partition fills. So each round commits the rows up to the
-    first that fills a partition, closes it, and relabels only the rows
-    that had chosen it: at most p rounds. Fills row_of in place and turns
-    retained into the tracked weight.
+    order by `_column_scores`, as scoring it alone does. A row's label is
+    then the lowest-index argmax over the partitions still open, and the
+    open set changes only when a partition fills. So each round commits
+    the rows up to the first that fills a partition, closes it, and
+    relabels only the rows that had chosen it: at most p rounds. Fills
+    row_of in place, and each round adds the scores of the rows it
+    commits to retained.
     """
     count, rows = order.shape
     # Founding placed each restart's first counts.sum() rows visited.
@@ -229,8 +236,7 @@ def _assign_rest(abs_w, tol, p, order, row_of, col_of, counts, retained):
         return  # every row was placed while founding, as when p == rows
     row_caps = np.array(partition_capacities(rows, p))
     cols = col_of.shape[1]
-    hot = np.zeros((count, p, cols))
-    np.put_along_axis(hot, col_of[:, None, :], 1.0, axis=1)
+    hot = (col_of[:, None, :] == np.arange(p)[:, None]).astype(float)
     score = (hot.reshape(count * p, cols) @ abs_w.T).reshape(count, p, rows)
     score = np.take_along_axis(score, order[:, None, :], axis=2)  # visit order
 
@@ -242,18 +248,12 @@ def _assign_rest(abs_w, tol, p, order, row_of, col_of, counts, retained):
     step = max(1, _BLOCK_ELEMENTS // cols)
     for lo in range(0, len(b), step):
         bb, tt = b[lo:lo + step], t[lo:lo + step]
-        # One bincount adds each row over each partition's columns in
-        # index order, as founding does.
-        key = np.arange(len(bb))[:, None] * p + col_of[bb]
-        exact = np.bincount(key.ravel(), weights=abs_w[order[bb, tt]].ravel(),
-                            minlength=len(bb) * p)
-        score[bb, :, tt] = exact.reshape(len(bb), p)
+        score[bb, :, tt] = _column_scores(abs_w[order[bb, tt]], col_of[bb], p)
 
     blk = np.arange(count)[:, None]
     pos = np.arange(rows)
     is_open = counts < row_caps
     lab = np.where(is_open[:, :, None], score, -1.0).argmax(axis=1)
-    picks = np.zeros((count, rows))
     while todo.any():
         # The rows left of each partition in visit order, and so the row
         # at which each partition would fill; the first of those closes.
@@ -269,17 +269,13 @@ def _assign_rest(abs_w, tol, p, order, row_of, col_of, counts, retained):
         b, t = np.nonzero(todo & (pos <= last[:, None]))
         k = lab[b, t]
         row_of[b, order[b, t]] = k
-        picks[b, t] = score[b, k, t]
+        retained += np.bincount(b, weights=score[b, k, t], minlength=count)
         counts += np.bincount(b * p + k, minlength=count * p).reshape(count, p)
         todo[b, t] = False
         is_open = counts < row_caps
         # A closed partition leaves every other row's argmax as it was.
         b, t = np.nonzero(todo & ~is_open[blk, lab])
         lab[b, t] = np.where(is_open[b], score[b, :, t], -1.0).argmax(axis=1)
-
-    # Zeros before each restart's first free row leave the sum exact, and
-    # cumsum adds in visit order.
-    retained[:] = np.cumsum(np.hstack([retained[:, None], picks]), axis=1)[:, -1]
 
 
 def _best_of(weights: WeightMatrix, p: int, seeds: np.ndarray, seed: int) -> PruneResult:
@@ -341,12 +337,6 @@ def multi_restart(
               f"labels, more than the limit of {MAX_RESTART_LABELS}")
     seed = check_int(seed, -math.inf, math.inf, "seed must be an integer")
     return _best_of(weights, p, stream_array(seed, restarts), seed)
-
-
-def _one_hot(labels: np.ndarray, n: int) -> np.ndarray:
-    m = np.zeros((len(labels), n))
-    m[np.arange(len(labels)), labels] = 1.0
-    return m
 
 
 def _swap_noise(gain: np.ndarray) -> float:
@@ -453,8 +443,8 @@ def refine_swaps(
     col_of = result.assignment.col_of.copy()
 
     # row_gain[i, k]: retained weight of row i if it lived in partition k.
-    row_gain = abs_w @ _one_hot(col_of, p)
-    col_gain = abs_w.T @ _one_hot(row_of, p)
+    row_gain = abs_w @ (col_of[:, None] == np.arange(p)).astype(float)
+    col_gain = abs_w.T @ (row_of[:, None] == np.arange(p)).astype(float)
     for _ in range(max_passes):
         row_best = _best_swap(row_gain, row_of, p)
         col_best = _best_swap(col_gain, col_of, p)
@@ -463,14 +453,15 @@ def refine_swaps(
         if col_top > row_top:
             _, i, j = col_best
             col_of[[i, j]] = col_of[[j, i]]
-            row_gain = abs_w @ _one_hot(col_of, p)
+            row_gain = abs_w @ (col_of[:, None] == np.arange(p)).astype(float)
         elif row_top > 0.0:
             _, i, j = row_best
             row_of[[i, j]] = row_of[[j, i]]
-            col_gain = abs_w.T @ _one_hot(row_of, p)
+            col_gain = abs_w.T @ (row_of[:, None] == np.arange(p)).astype(float)
         else:
             break
 
+    del abs_w  # free |W| before the result's gathers allocate theirs
     assignment = PartitionAssignment(p=p, row_of=row_of, col_of=col_of)
     refined = result_from_assignment(
         weights, assignment, seed=result.seed, restarts=result.restarts

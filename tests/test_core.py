@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -152,7 +153,7 @@ class TestValidation:
 
     def test_wrong_count_at_bounds_rejected(self):
         # 7 rows in 3 partitions must size (3,2,2); (3,3,1) breaks the
-        # lower bound / upper-bound count
+        # lower bound
         bad = PartitionAssignment(
             p=3,
             row_of=np.array([0, 0, 0, 1, 1, 1, 2]),
@@ -161,6 +162,21 @@ class TestValidation:
         check = validate_assignment(bad, 7, 7)
         assert not check.ok
         assert "bound" in check.first_violation
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_accepts_exactly_the_capacity_sizes(self, n):
+        # Every label vector of n nodes in p <= n partitions, on each side:
+        # a side passes exactly when its sorted sizes are the capacities.
+        for p in range(1, n + 1):
+            want = sorted(partition_capacities(n, p))
+            balanced = np.arange(n) % p
+            for labels in itertools.product(range(p), repeat=n):
+                labels = np.array(labels)
+                ok = sorted(np.bincount(labels, minlength=p).tolist()) == want
+                rows = PartitionAssignment(p=p, row_of=labels, col_of=balanced)
+                cols = PartitionAssignment(p=p, row_of=balanced, col_of=labels)
+                assert validate_assignment(rows, n, n).ok == ok
+                assert validate_assignment(cols, n, n).ok == ok
 
     def test_length_mismatch_reported(self):
         a = two_partition_6x8()

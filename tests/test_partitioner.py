@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -267,6 +268,21 @@ class TestRefineSwaps:
         fewer = refine_swaps(w, base, max_passes=19)
         assert refined.weight_loss < fewer.weight_loss < base.weight_loss
         assert elapsed < 0.7, f"20 refine passes at 2048x2048 took {elapsed:.2f} s"
+
+    def test_peak_memory_is_about_one_layer(self):
+        # |W| is one layer's worth, and so are the result's gathers of the
+        # kept and pruned weights; |W| is freed before those start, so
+        # the two are never held at once.
+        w = uniform_matrix(1024, 1024, seed=5)
+        base = greedy_partition(w, 4, seed=5)
+        tracemalloc.start()
+        try:
+            refined = refine_swaps(w, base, max_passes=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert refined.weight_loss < base.weight_loss
+        assert peak < 1.25 * w.data.nbytes, f"peak {peak / w.data.nbytes:.2f} layers"
 
     def test_exact_ties_end_a_huge_pass_limit_at_once(self):
         # The swap of one column pair gains 1.1e-16 here, rounding of two

@@ -570,10 +570,11 @@ def edge_matrix(rows, cols, kind):
 def assert_tracked_near(got, want, abs_w):
     """The tracked weight against the column-order one, within rounding.
 
-    The two add the same winning scores in the same order, but a score
-    from the matrix product may differ from its column-order sum by about
-    cols eps times its row's sum of |W|, and each addition of the rows
-    rounds by at most eps/2 of the total: so they differ by at most about
+    The two add the same winning scores, but perhaps in other orders: a
+    score from the matrix product or from a founding row's largest
+    magnitudes may differ from its column-order sum by about cols eps
+    times its row's sum of |W|, and each addition of the rows rounds by
+    at most eps/2 of the total: so they differ by at most about
     (rows + cols) eps sum |W|. Twice that leaves headroom.
     """
     rows, cols = abs_w.shape
