@@ -19,9 +19,10 @@ every run a pure function of (weights, p, seed).
 All restarts are built together, in lockstep: each step visits the next
 row of every restart still founding, and the state (labels, row counts,
 founded count) is held in arrays with one row per restart. Both phases
-run on blocks of restarts, so a step's temporaries hold a constant
-number of elements, or those of one restart on a layer too large for
-that.
+run on blocks of restarts. Founding's temporaries hold a constant number
+of elements. After founding they hold that many, or an eighth of the
+layer's on a larger layer, so that |W| is read once for many restarts.
+On a layer too large for either bound, a block is one restart.
 
 Founding usually ends within the first few dozen rows visited. From then
 on the column sets are frozen, so one matrix product per block of
@@ -111,11 +112,13 @@ def _margin(abs_w: np.ndarray) -> float:
 
 
 # Restarts are built in blocks whose temporaries hold at most this many
-# elements (512 KB of floats): (restarts, cols) while founding, and
-# (restarts, p, rows) scores and (restarts, p, cols) column indicators
-# after it. A block holds at least one restart, so the bound holds only
-# while cols and p * max(rows, cols) are at most this; a larger layer's
-# temporaries are those of one restart.
+# elements (512 KB of floats) while founding: (restarts, cols). After
+# founding, a block's (restarts, p, rows) scores and (restarts, p, cols)
+# column indicators hold at most this many or an eighth of the layer's,
+# whichever is more, so one matrix product scores many restarts of a
+# large layer and streams its |W| once for them. A block holds at least
+# one restart, so the bounds hold only while cols and p * max(rows, cols)
+# are at most them; a larger layer's temporaries are those of one restart.
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -143,7 +146,7 @@ def _construct(abs_w: np.ndarray, p: int, seeds: np.ndarray) -> tuple:
     # cols eps rowsum. Two BLAS scores more than twice that apart keep
     # their order in column-order sums; tol is twice that again.
     tol = 4 * cols * np.finfo(float).eps * abs_w.sum(axis=1)
-    step = max(1, _BLOCK_ELEMENTS // (p * max(rows, cols)))
+    step = max(1, max(_BLOCK_ELEMENTS, rows * cols // 8) // (p * max(rows, cols)))
     for b in (slice(lo, lo + step) for lo in range(0, len(seeds), step)):
         _assign_rest(abs_w, tol, p, orders[b], row_of[b], col_of[b], counts[b], tracked[b])
     return row_of, col_of, tracked
@@ -201,8 +204,13 @@ def _found_partitions(abs_w, p, order, row_of, col_of, counts, retained):
             # Founding loses ties; with no open partition gain is -1.
             won = founding > gain[g]
             g = g[won]
-            pick = np.argsort(-free_vals[won], axis=1, kind="stable")[:, :cap]
-            col_of[live[g[:, None]], np.take_along_axis(free[won], pick, axis=1)] = fv
+            # top[:, 0] is the cap-th largest: claim every free column
+            # above it, then the lowest columns equal to it up to cap.
+            cand, thr = free_vals[won], top[won, :1]
+            above, ties = cand > thr, cand == thr
+            short = cap - above.sum(axis=1, keepdims=True)
+            take = above | (ties & (np.cumsum(ties, axis=1) <= short))
+            col_of[np.repeat(live[g], cap), free[won][take]] = fv
             lab[g] = fv
             gain[g] = founding[won]
             founded[live[g]] += 1
@@ -238,13 +246,12 @@ def _assign_rest(abs_w, tol, p, order, row_of, col_of, counts, retained):
     cols = col_of.shape[1]
     hot = (col_of[:, None, :] == np.arange(p)[:, None]).astype(float)
     score = (hot.reshape(count * p, cols) @ abs_w.T).reshape(count, p, rows)
+    del hot  # freed before the sorts below allocate their own
     score = np.take_along_axis(score, order[:, None, :], axis=2)  # visit order
 
-    b, t = np.nonzero(todo)
-    gaps = np.diff(np.sort(score[b, :, t], axis=1), axis=1)
+    gaps = np.diff(np.sort(score, axis=1), axis=1)
     # Written so that a tie or a NaN gap is not clear.
-    unclear = ~(gaps > tol[order[b, t], None]).all(axis=1)
-    b, t = b[unclear], t[unclear]
+    b, t = np.nonzero(todo & ~(gaps > tol[order][:, None, :]).all(axis=1))
     step = max(1, _BLOCK_ELEMENTS // cols)
     for lo in range(0, len(b), step):
         bb, tt = b[lo:lo + step], t[lo:lo + step]

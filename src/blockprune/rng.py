@@ -54,16 +54,21 @@ def batch_permutation(seeds: np.ndarray, n: int) -> np.ndarray:
     Row r is `SplitMix64(seeds[r]).permutation(n)`: position i = n-1 .. 1
     swaps with the next draw of seed r's stream reduced mod i + 1. All
     rows take each swap together, so the Python loop runs n - 1 times
-    whatever the number of seeds.
+    whatever the number of seeds. Each draw is made an index into the
+    flattened result once, before the loop, by adding its seed's row
+    offset, and the draws of one step are laid out contiguously; a step
+    then swaps column i with those indices in four array operations.
     """
-    draws = max(n - 1, 0)
-    js = stream_array(seeds, draws) % np.arange(n, 1, -1, dtype=np.uint64)
+    js = stream_array(seeds, max(n - 1, 0))
+    js %= np.arange(n, 1, -1, dtype=np.uint64)
+    js = js.view(np.int64)  # each draw is below n, so it reads the same
+    js += np.arange(len(seeds), dtype=np.int64)[:, None] * n
     perm = np.tile(np.arange(n, dtype=np.int64), (len(seeds), 1))
     flat = perm.reshape(-1)
-    base = np.arange(len(seeds), dtype=np.int64) * n
-    for i, j in zip(range(n - 1, 0, -1), js.T):
-        a, b = base + i, base + j.astype(np.int64)
-        flat[a], flat[b] = flat[b], flat[a]
+    for i, b in zip(range(n - 1, 0, -1), np.ascontiguousarray(js.T)):
+        held = perm[:, i].copy()
+        perm[:, i] = flat[b]
+        flat[b] = held
     return perm
 
 

@@ -609,6 +609,9 @@ def assert_lockstep_matches(w, p, restarts, seed):
     # Founding runs in blocks of 16 restarts, the rest in blocks of 5.
     (6, 4096, "ties", 3, 40),
     (600, 6, "ties", 3, 40),  # the rest in blocks of 36 restarts and then 4
+    # Above _BLOCK_ELEMENTS the rest run in blocks of an eighth of the
+    # layer: 32 restarts and then 8.
+    (768, 768, "decimals", 3, 40),
     # Scores that tie exactly but round apart in the matrix product, so
     # only rescoring in column order gives the right labels.
     *[(rows, cols, kind, p, 8)
@@ -639,6 +642,24 @@ def test_construct_temporaries_stay_small_on_wide_layers():
         tracemalloc.stop()
     # The labels kept, and a few temporaries of _BLOCK_ELEMENTS floats.
     assert peak - row_of.nbytes - col_of.nbytes < 16 * _BLOCK_ELEMENTS * 8
+
+
+def test_construct_temporaries_stay_an_eighth_of_a_large_layer():
+    # Above _BLOCK_ELEMENTS a block after founding holds as many restarts
+    # as fit an eighth of the layer in (restarts, p, max(rows, cols))
+    # elements: 64 of the 512 here.
+    rows = cols = 1024
+    abs_w = np.abs(corpus_matrix(rows, cols, "gauss").data)
+    tracemalloc.start()
+    try:
+        row_of, col_of, _ = _construct(abs_w, 2, stream_array(5, 512))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Besides the labels kept: the row orders, 512 x 1024 int64s or four
+    # eighths of the layer, and a few block temporaries of an eighth each.
+    eighth = rows * cols // 8 * abs_w.itemsize
+    assert peak - row_of.nbytes - col_of.nbytes < 16 * eighth
 
 
 def test_lockstep_ties_across_restart_blocks():

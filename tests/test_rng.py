@@ -96,5 +96,11 @@ def test_batch_permutation_rows_are_the_sequential_shuffles(n):
         assert perm.tolist() == want
 
 
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_batch_permutation_of_no_seeds_is_empty(n):
+    perms = batch_permutation(np.array([], dtype=np.uint64), n)
+    assert perms.shape == (0, n) and perms.dtype == np.int64
+
+
 def test_different_seeds_differ():
     assert stream_element(1, 0) != stream_element(2, 0)
