@@ -47,13 +47,6 @@ def decompose(
     check = validate_assignment(assignment, weights.rows, weights.cols)
     if not check.ok:
         raise ValueError(f"infeasible assignment: {check.first_violation}")
-    return _split_blocks(weights, assignment)
-
-
-def _split_blocks(
-    weights: WeightMatrix, assignment: PartitionAssignment
-) -> BlockDecomposition:
-    """`decompose` for an assignment already checked against the weights."""
     row_perm = np.argsort(assignment.row_of, kind="stable")
     col_perm = np.argsort(assignment.col_of, kind="stable")
     # Partition k's nodes, in index order, are run k of each permutation.

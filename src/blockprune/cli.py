@@ -132,17 +132,23 @@ def cmd_oracle(args) -> int:
 def cmd_verify(args) -> int:
     weights = matio.read_matrix(args.input)
     assignment, _, _ = matio.read_assignment(args.result, weights)
-    check = validate_assignment(assignment, weights.rows, weights.cols)
+    # `decompose` checks balance; a refused assignment is checked again
+    # only to list every violation.
+    try:
+        decomp, violations = blockexec.decompose(weights, assignment), []
+    except ValueError:
+        violations = list(validate_assignment(
+            assignment, weights.rows, weights.cols).violations)
     payload = {
-        "valid": check.ok,
-        "violations": list(check.violations),
+        "valid": not violations,
+        "violations": violations,
         "trials": args.trials,
         "tolerance": args.tolerance,
         "max_rel_error": None,
         "passed": False,
     }
-    if not check.ok:
-        _emit(args, payload, f"FAIL: infeasible assignment: {check.first_violation}")
+    if violations:
+        _emit(args, payload, f"FAIL: infeasible assignment: {violations[0]}")
         return EXIT_INVALID
 
     if not 0 < args.tolerance < math.inf:
@@ -151,8 +157,6 @@ def cmd_verify(args) -> int:
     check_int(args.trials, 1, limit, "trials must be >= 1",
               above=f"--trials is more than the limit of {limit} "
                     f"for a {weights.rows}x{weights.cols} layer")
-    # read_assignment matched the dimensions and balance is checked above.
-    decomp = blockexec._split_blocks(weights, assignment)
     mask = mask_of(assignment)
     rows = weights.rows
     floor = 1e-9 / args.tolerance  # absolute floor on the comparison scale

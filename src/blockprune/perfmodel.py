@@ -6,9 +6,10 @@ inputs and weights must be transferred before compute starts. Transfers
 serialize on the bus and pay a contention penalty that grows with the
 number of requests waiting when a transfer is granted; compute on
 different accelerators overlaps freely. The simulator is deterministic:
-a workload with at most one job per accelerator is one round of grants
-in accelerator order, computed as a running sum of services; chained
-jobs go through an event loop.
+`simulate` runs every workload through one event loop. `calibrate`
+scores batches of candidate parameters on replicated workloads, whose
+requests all arrive at t = 0, through `_first_round`, the event loop's
+closed form for one round of grants in accelerator order.
 
 Two parameters are deliberately free: the contention penalty multiplier
 and the fixed per-transfer DMA overhead. `calibrate` fits them so the
@@ -34,8 +35,8 @@ CYCLES_FILL_DRAIN = 2  # pipeline fill + drain, (s - 1) each
 
 # Most jobs a built workload holds: copies of `replicated_workload`,
 # blocks of `partitioned_workload`. It bounds the time and memory of
-# every caller: 65,536 copies build and simulate in about 0.25 s and
-# 23 MB on a 2-vCPU Xeon.
+# every caller: 65,536 copies build and simulate in about 0.45 s and
+# 31 MB on a 2-vCPU Xeon.
 MAX_WORKLOAD_JOBS = 1 << 16
 
 # Most accelerators `calibrate` accepts, summed over its targets. Every
@@ -43,6 +44,9 @@ MAX_WORKLOAD_JOBS = 1 << 16
 # with the sum; at this cap the slowest target lists tried take 0.01-0.07 s,
 # and one `_first_round` array holds at most 574 x 512 services (2.35 MB).
 MAX_CALIBRATE_COPIES = 512
+
+# Largest relative error over its targets at which a fit converges.
+CALIBRATE_TOLERANCE = 0.03
 
 
 @dataclass(frozen=True)
@@ -228,14 +232,15 @@ def _job_costs(config: SimConfig, jobs: list) -> tuple:
 def _first_round(transfer, compute, gamma, fixed) -> tuple:
     """Makespan and bus busy time of one round of grants, per candidate.
 
-    When no accelerator holds two jobs, every request arrives at t = 0
-    and the bus grants them in accelerator order; `transfer` and
-    `compute` list the jobs in that order. The i-th of k grants sees
-    k - 1 - i requests waiting, so it takes fixed + transfer_i * (1 +
-    gamma * (k - 1 - i)) cycles, and the transfers end at the running sum
-    of those services, added in the event loop's order. `gamma` and
-    `fixed` hold the contention and fixed overheads of each candidate;
-    an empty workload has a makespan of 0.0.
+    Only `calibrate` uses this closed form, to score its batches;
+    `simulate` runs the event loop, which gives the same floats. When no
+    accelerator holds two jobs, every request arrives at t = 0 and the
+    bus grants them in accelerator order; `transfer` and `compute` list
+    the k >= 1 jobs in that order. The i-th grant sees k - 1 - i
+    requests waiting, so it takes fixed + transfer_i * (1 + gamma *
+    (k - 1 - i)) cycles, and the transfers end at the running sum of
+    those services, added in the event loop's order. `gamma` and `fixed`
+    hold the contention and fixed overheads of each candidate.
     """
     transfer = np.asarray(transfer, dtype=float)
     compute = np.asarray(compute, dtype=float)
@@ -244,8 +249,8 @@ def _first_round(transfer, compute, gamma, fixed) -> tuple:
     waiting = np.arange(len(transfer) - 1, -1, -1, dtype=float)
     service = fixed + transfer * (1.0 + gamma * waiting)
     done = np.add.accumulate(service, axis=1)
-    makespan = np.maximum.reduce(done + compute, axis=1, initial=0.0)
-    return makespan, done[:, -1] if len(transfer) else np.zeros(len(gamma))
+    makespan = np.maximum.reduce(done + compute, axis=1)
+    return makespan, done[:, -1]
 
 
 def simulate(config: SimConfig, workload: list) -> SimReport:
@@ -259,10 +264,9 @@ def simulate(config: SimConfig, workload: list) -> SimReport:
     * q), where q counts the other requests waiting at the grant instant.
     Compute begins when the transfer completes.
 
-    With at most one job per accelerator this is `_first_round`. Chained
-    jobs go through an event loop whose waiting requests sit in a list
-    sorted by (request time, accelerator), so a run of k jobs costs
-    O(k log k) comparisons.
+    Every workload goes through one event loop. Its waiting requests sit
+    in a list sorted by (request time, accelerator) and are taken from a
+    head index, so a run of k jobs costs O(k log k) comparisons.
     """
     config.validate()
     accels = [job.accelerator for job in workload]
@@ -278,14 +282,7 @@ def simulate(config: SimConfig, workload: list) -> SimReport:
         busy[accel] += cycles
 
     active = len(set(accels))
-    if active == len(accels):
-        order = sorted(range(active), key=accels.__getitem__)
-        span, bus = _first_round(
-            [transfer[i] for i in order], [compute[i] for i in order],
-            [config.contention_overhead], [config.dma_fixed_overhead_cycles])
-        makespan, bus_busy = float(span[0]), float(bus[0])
-    else:
-        makespan, bus_busy = _event_loop(config, accels, transfer, compute)
+    makespan, bus_busy = _event_loop(config, accels, transfer, compute)
     if not math.isfinite(makespan):
         raise ValueError("simulated makespan does not fit a finite float")
 
@@ -321,8 +318,9 @@ def _event_loop(config: SimConfig, accels: list, transfer: list,
     for i, accel in enumerate(accels):
         queues[accel].append(i)
 
-    # (request_time, accelerator), kept sorted; one outstanding request
-    # per accelerator because jobs on it are chained.
+    # (request_time, accelerator), kept sorted from `head` on, where the
+    # next grant's request sits; one outstanding request per accelerator
+    # because jobs on it are chained.
     pending = [(0.0, a) for a, q in enumerate(queues) if q]
     position = [0] * config.num_accelerators
 
@@ -330,11 +328,13 @@ def _event_loop(config: SimConfig, accels: list, transfer: list,
     bus_free = 0.0
     makespan = 0.0
 
-    while pending:
-        rt, accel = pending.pop(0)
+    head = 0
+    while head < len(pending):
+        rt, accel = pending[head]
+        head += 1
         grant = max(bus_free, rt)
         # Requests still waiting at the grant instant, ties included.
-        queue_len = bisect_right(pending, (grant, math.inf))
+        queue_len = bisect_right(pending, (grant, math.inf), head) - head
         job = queues[accel][position[accel]]
 
         service = config.dma_fixed_overhead_cycles + transfer[job] * (
@@ -348,7 +348,7 @@ def _event_loop(config: SimConfig, accels: list, transfer: list,
 
         position[accel] += 1
         if position[accel] < len(queues[accel]):
-            insort(pending, (compute_done, accel))
+            insort(pending, (compute_done, accel), head)
     return makespan, bus_busy
 
 
@@ -428,7 +428,6 @@ def calibrate(
     targets: list,
     rows: int = 4096,
     cols: int = 4096,
-    tolerance: float = 0.03,
 ) -> Calibration:
     """Fit contention_overhead and dma_fixed_overhead_cycles to targets.
 
@@ -444,8 +443,8 @@ def calibrate(
     The targets may ask for at most MAX_CALIBRATE_COPIES accelerators in
     total. Returns the fitted config, with the speedup achieved for each
     target count and the max relative error over targets, once that error
-    is within `tolerance`; otherwise raises CalibrationError carrying the
-    best-effort fit.
+    is within CALIBRATE_TOLERANCE; otherwise raises CalibrationError
+    carrying the best-effort fit.
     """
     if not targets:
         raise ValueError("need at least one calibration target")
@@ -517,9 +516,9 @@ def calibrate(
         contention_overhead=g,
         dma_fixed_overhead_cycles=int(round(f)),
     )
-    if err > tolerance:
+    if err > CALIBRATE_TOLERANCE:
         raise CalibrationError(
-            f"targets not reachable within {tolerance:.0%} "
+            f"targets not reachable within {CALIBRATE_TOLERANCE:.0%} "
             f"(best max relative error {err:.4f})",
             best_config=fitted,
             achieved=achieved,

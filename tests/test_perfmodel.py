@@ -229,7 +229,7 @@ class TestCalibrate:
             bus_bandwidth_bytes_per_cycle=1e9,
             dma_fixed_overhead_cycles=0,
         )
-        fitted = calibrate(cfg, [(2, 2.0), (3, 3.0)], tolerance=0.03).config
+        fitted = calibrate(cfg, [(2, 2.0), (3, 3.0)]).config
         assert fitted.contention_overhead == pytest.approx(0.0, abs=1e-3)
 
     def test_measured_targets_hit_within_tolerance(self):

@@ -296,7 +296,8 @@ def test_calibrate_matches_reference(name, config, targets, rows, cols):
 
 
 def one_round_corpus():
-    """Workloads with at most one job per accelerator: the first-round path.
+    """Workloads with at most one job per accelerator, which `_first_round`
+    also computes.
 
     The jobs take distinct accelerators in a random order, so they are
     listed out of accelerator order and, below the accelerator count,
@@ -322,25 +323,41 @@ def one_round_corpus():
     return cases
 
 
-def test_one_round_matches_reference_event_loop(monkeypatch):
+def first_round(cfg, workload):
+    """(makespan, bus busy time) by `_first_round`, the closed form
+    `calibrate` scores its batches with, of jobs on distinct accelerators."""
+    jobs = sorted(workload, key=lambda job: job.accelerator)
+    transfer, compute, _, _ = perfmodel._job_costs(cfg, jobs)
+    span, bus = perfmodel._first_round(
+        transfer, compute, [cfg.contention_overhead],
+        [cfg.dma_fixed_overhead_cycles])
+    return float(span[0]), float(bus[0])
+
+
+def test_one_round_matches_reference_event_loop():
     cases = one_round_corpus()
-    delegated = []
-    real = perfmodel._first_round
-
-    def counting(*args):
-        delegated.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(perfmodel, "_first_round", counting)
     for cfg, workload in cases:
-        assert simulate(cfg, workload) == reference_simulate(cfg, workload), (
-            cfg, workload)
-    assert len(delegated) == len(cases)
+        want = reference_simulate(cfg, workload)
+        assert simulate(cfg, workload) == want, (cfg, workload)
+        if workload:
+            span, bus = first_round(cfg, workload)
+            assert span.hex() == want.makespan_cycles.hex(), (cfg, workload)
+            assert bus.hex() == want.bus_busy_cycles.hex(), (cfg, workload)
     ids = [[job.accelerator for job in w] for _, w in cases]
     assert sum(a != sorted(a) for a in ids) > len(cases) // 4  # out of order
     assert sum(0 < len(a) < cfg.num_accelerators
                for (cfg, _), a in zip(cases, ids)) > len(cases) // 4  # gaps
     assert any(not a for a in ids)
+
+
+def test_simulate_matches_first_round_at_the_workload_cap():
+    copies = perfmodel.MAX_WORKLOAD_JOBS
+    cfg = replace(SimConfig(), num_accelerators=copies)
+    jobs = replicated_workload(4096, 4096, copies)
+    report = simulate(cfg, jobs)
+    span, bus = first_round(cfg, jobs)
+    assert report.makespan_cycles.hex() == span.hex()
+    assert report.bus_busy_cycles.hex() == bus.hex()
 
 
 # Layer shapes from 7 x 9 up to the paper's 4096 x 4096 stand-in.
