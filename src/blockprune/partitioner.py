@@ -43,8 +43,9 @@ without building a mask. That sum is only a ranking key: the canonical
 loss is computed for the restarts whose key ties the best within a
 margin far wider than rounding, so the result is that of scoring every
 restart exactly. An optional local search polishes a result by swapping
-node pairs across partitions, and a brute-force oracle computes the
-exact optimum on small instances for verification.
+node pairs across partitions, scored exactly on an integer copy of |W|,
+and a brute-force oracle computes the exact optimum on small instances
+for verification.
 """
 
 from __future__ import annotations
@@ -119,6 +120,7 @@ def _margin(abs_w: np.ndarray) -> float:
 # large layer and streams its |W| once for them. A block holds at least
 # one restart, so the bounds hold only while cols and p * max(rows, cols)
 # are at most them; a larger layer's temporaries are those of one restart.
+# The oracle adds its group sums in blocks of as many, held in cache.
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -346,81 +348,74 @@ def multi_restart(
     return _best_of(weights, p, stream_array(seed, restarts), seed)
 
 
-def _swap_noise(gain: np.ndarray) -> float:
-    """64 eps max|gain| over the finite gains.
+def _grid(data: np.ndarray) -> np.ndarray:
+    """|data| times a power of two, rounded to integers, in one copy.
 
-    A swap's gain is a four-term sum that rounds by at most 4.5 eps of
-    the largest term, so a best gain no larger than this may be rounding
-    alone, as when two sums that are equal exactly round apart.
+    Scaled below 1 first, no line sum overflows. Then the largest row or
+    column sum s, as summed, is scaled below 2**49. A line of n terms
+    sums exactly to at most s (1 + n 2**-52), and rounding adds at most
+    n / 2, so every line sums to at most 2**50 for any n below 2**48. A
+    gain of `refine_swaps` sums part of a line, so gains, differences of
+    two and sums of two differences are integers of magnitude at most
+    2**51: float64 holds them exactly, in any order of addition.
     """
-    finite = np.abs(gain[np.isfinite(gain)])
-    return 64 * np.finfo(float).eps * float(np.max(finite, initial=0.0))
+    q = np.abs(data)
+    np.ldexp(q, -math.frexp(float(q.max()))[1], out=q)
+    s = max(float(q.sum(axis=1).max()), float(q.sum(axis=0).max()))
+    np.ldexp(q, 49 - math.frexp(s)[1], out=q)
+    return np.rint(q, out=q)
 
 
 def _best_swap(gain: np.ndarray, labels: np.ndarray, p: int) -> tuple:
     """(gain, i, j) of the best swap of two nodes on one side.
 
-    gain[i, k] is the retained weight of node i if it lived in partition
-    k. Swapping nodes i < j of partitions a != b gains
-    ((gain[i, b] + gain[j, a]) - gain[i, a]) - gain[j, b], evaluated in
-    that order. The best is the largest positive gain, ties to the lowest
-    (i, j); with no positive gain the result is (0.0, -1, -1). Each
-    ordered partition pair (a, b) is one block of pairs: its nodes are in
-    index order, so the first maximum in the block is its lowest (i, j).
+    gain[i, k], an integer of magnitude below 2**51, is the retained
+    weight of node i if it lived in partition k. Swapping nodes i < j of
+    partitions a != b gains d[i, b] + d[j, a], exactly, with d[i, k] the
+    gain of moving node i alone to k. The best is the largest positive
+    gain, ties to the lowest (i, j); with none, (0.0, -1, -1).
 
-    Only the pairs that can win are scored. With d[i, k] the gain of
-    moving node i alone to partition k, a swap gains d[i, b] + d[j, a],
-    so m[a, b], the largest d[i, b] over the nodes of a, bounds every
-    pair of block (a, b) by m[a, b] + m[b, a]. Every pair that wins or
-    ties the winner lies within a rounding margin of the largest bound;
-    the others cannot win and are skipped.
+    The two terms are independent, so with m[a, b] the largest d[i, b]
+    over the nodes of a, the best swap of a with b gains m[a, b] +
+    m[b, a], and its lowest pair is the lowest node of a that reaches
+    m[a, b] with the lowest node of b that reaches m[b, a].
     """
+    n = len(labels)
     by_label = np.argsort(labels, kind="stable")  # each partition in index order
     sizes = np.bincount(labels, minlength=p)
-    starts = np.cumsum(sizes) - sizes
-    members = [by_label[s:s + k] for s, k in zip(starts.tolist(), sizes.tolist())]
-    d = gain - gain[np.arange(len(labels)), labels][:, None]
-    # fmax skips NaN; an empty partition bounds nothing.
-    m = np.full((p, p), -np.inf)
     full = sizes > 0
-    m[full] = np.fmax.reduceat(d[by_label], starts[full], axis=0)
+    starts = (np.cumsum(sizes) - sizes)[full]
+    d = (gain - gain[np.arange(n), labels][:, None])[by_label]
+    top = np.maximum.reduceat(d, starts, axis=0)
+    # The first position in each partition that reaches its maximum.
+    pos = np.where(d == np.repeat(top, sizes[full], axis=0), np.arange(n)[:, None], n)
+    m = np.full((p, p), -np.inf)  # an empty partition bounds nothing
+    m[full] = top
+    node = np.zeros((p, p), dtype=np.int64)
+    node[full] = by_label[np.minimum.reduceat(pos, starts, axis=0)]
     bound = m + m.T
     np.fill_diagonal(bound, -np.inf)
-    peak = float(np.fmax.reduce(bound, axis=None))
-    # With eps = 2**-52 and M = max|gain|, the four-term gain and the
-    # separable sum d[i, b] + d[j, a] each lie within 4.5 eps M of the
-    # exact gain. So the winner gains at least peak - 8.5 eps M, and a
-    # pair that ties it has a sum of at least peak - 17 eps M. Rounding
-    # that sum, thr and the node limits below costs at most 7 eps M
-    # more, so a margin of 24 eps M keeps every such pair; 64 leaves
-    # more than twice that. Non-finite gains, or finite ones whose
-    # four-term sum may overflow, make the margin inf: the comparisons
-    # below are then false for every bound and node, NaN included, and
-    # the whole of every block is scanned.
-    scale = float(np.max(np.abs(gain), initial=0.0))
-    tol = 64 * np.finfo(float).eps * scale if 4 * scale < math.inf else math.inf
-    best = (0.0, -1, -1)
-    if not peak + tol > 0.0:
-        return best  # no pair can gain
-    thr = peak - tol
-    for a, b in zip(*np.nonzero(~(bound < thr))):
-        ia = members[a][~(d[members[a], b] < thr - m[b, a])]
-        ib = members[b][~(d[members[b], a] < thr - m[a, b])]
-        if a == b or not (len(ia) and len(ib)):
-            continue
-        ga = gain[ia]
-        gb = gain[ib]
-        g = ga[:, b, None] + gb[:, a]
-        g -= ga[:, a, None]
-        g -= gb[:, b]
-        g[ia[:, None] > ib] = 0.0  # the pair belongs to block (b, a)
-        np.fmax(g, 0.0, out=g)  # a NaN gain never wins
-        k = int(np.argmax(g))
-        top = float(g.flat[k])
-        i, j = int(ia[k // len(ib)]), int(ib[k % len(ib)])
-        if top > best[0] or (top == best[0] > 0.0 and (i, j) < best[1:]):
-            best = (top, i, j)
-    return best
+    peak = float(bound.max())
+    if peak <= 0.0:
+        return 0.0, -1, -1
+    a, b = np.nonzero(bound == peak)
+    lo = np.minimum(node[a, b], node[b, a])
+    hi = np.maximum(node[a, b], node[b, a])
+    k = int(np.argmin(lo * n + hi))
+    return peak, int(lo[k]), int(hi[k])
+
+
+def _swap(labels: np.ndarray, i: int, j: int, gain: np.ndarray, lines: np.ndarray):
+    """Swap nodes i and j, and move the other side's gains with them.
+
+    With lines[i] node i's line of the grid, i's partition gains
+    lines[j] - lines[i] and j's loses as much.
+    """
+    a, b = labels[i], labels[j]
+    labels[i], labels[j] = b, a
+    moved = lines[j] - lines[i]
+    gain[:, a] += moved
+    gain[:, b] -= moved
 
 
 def refine_swaps(
@@ -432,48 +427,44 @@ def refine_swaps(
     two columns that live in different partitions; swaps preserve group
     sizes, so feasibility is maintained. A column swap is taken only if it
     gains strictly more than the best row swap. Stops when no swap
-    improves or after max_passes swaps. A best gain no larger than
-    `_swap_noise` of its side's gains counts as no gain, so exact ties
-    are never swapped to and fro. The returned loss never exceeds the
-    input's.
+    improves or after max_passes swaps. The returned loss never exceeds
+    the input's.
 
-    The gains of one side depend only on the other side's labels, so a
-    row swap leaves the row gains as they are and only the column gains
-    are recomputed, and the other way round.
+    Gains are scored on `_grid`'s integer copy of |W|, where every gain
+    is exact: the swaps are the same on any BLAS, a positive gain is a
+    real one on the grid, and no swap is undone. The gains of one side
+    depend only on the other side's labels, so a swap moves two of the
+    other side's gain columns by the difference of the two swapped lines
+    of the grid, and nothing else.
     """
     max_passes = check_int(max_passes, 0, math.inf, "max_passes must be >= 0")
     p = result.assignment.p
     if p == 1 or max_passes == 0:
         return result
-    abs_w = np.abs(weights.data)
+    q = _grid(weights.data)
     row_of = result.assignment.row_of.copy()
     col_of = result.assignment.col_of.copy()
 
     # row_gain[i, k]: retained weight of row i if it lived in partition k.
-    row_gain = abs_w @ (col_of[:, None] == np.arange(p)).astype(float)
-    col_gain = abs_w.T @ (row_of[:, None] == np.arange(p)).astype(float)
+    row_gain = q @ (col_of[:, None] == np.arange(p)).astype(float)
+    col_gain = q.T @ (row_of[:, None] == np.arange(p)).astype(float)
     for _ in range(max_passes):
-        row_best = _best_swap(row_gain, row_of, p)
-        col_best = _best_swap(col_gain, col_of, p)
-        row_top = row_best[0] if row_best[0] > _swap_noise(row_gain) else 0.0
-        col_top = col_best[0] if col_best[0] > _swap_noise(col_gain) else 0.0
+        row_top, i, j = _best_swap(row_gain, row_of, p)
+        col_top, ci, cj = _best_swap(col_gain, col_of, p)
         if col_top > row_top:
-            _, i, j = col_best
-            col_of[[i, j]] = col_of[[j, i]]
-            row_gain = abs_w @ (col_of[:, None] == np.arange(p)).astype(float)
+            _swap(col_of, ci, cj, row_gain, q.T)
         elif row_top > 0.0:
-            _, i, j = row_best
-            row_of[[i, j]] = row_of[[j, i]]
-            col_gain = abs_w.T @ (row_of[:, None] == np.arange(p)).astype(float)
+            _swap(row_of, i, j, col_gain, q)
         else:
             break
 
-    del abs_w  # free |W| before the result's gathers allocate theirs
+    del q  # free the grid before the result's gathers allocate theirs
     assignment = PartitionAssignment(p=p, row_of=row_of, col_of=col_of)
     refined = result_from_assignment(
         weights, assignment, seed=result.seed, restarts=result.restarts
     )
-    # Guard against float drift in the gain bookkeeping: never get worse.
+    # The grid rounds each |w|, so a swap that gains on it may lose a
+    # little in the float sum: never get worse.
     return refined if refined.weight_loss <= result.weight_loss else result
 
 
@@ -585,10 +576,22 @@ def oracle_enumeration_size(rows: int, cols: int, p: int) -> int:
 
 
 def _group_sums(abs_w: np.ndarray, groupings: np.ndarray, p: int) -> np.ndarray:
-    """sums[g, k, j]: |W| of column j over the rows of grouping g's group k."""
-    sums = np.zeros((len(groupings), p, abs_w.shape[1]))
-    np.add.at(sums, (np.arange(len(groupings))[:, None], groupings), abs_w)
-    return sums
+    """sums[g, k, j]: |W| of column j over the rows of grouping g's group k.
+
+    Each group adds its rows in row order, from 0.0: step i adds row i
+    to the group of each grouping that holds it, over blocks of
+    _BLOCK_ELEMENTS sums held with the groupings on the last axis.
+    """
+    cols = abs_w.shape[1]
+    sums = np.zeros((p, cols, len(groupings)))
+    groups = np.arange(p)[:, None, None]
+    step = max(1, _BLOCK_ELEMENTS // (p * cols))
+    for lo in range(0, len(groupings), step):
+        block = sums[:, :, lo:lo + step]
+        labels = np.ascontiguousarray(groupings[lo:lo + step].T)
+        for row, at in zip(abs_w[:, :, None], labels):
+            np.add(block, row, out=block, where=at == groups)
+    return sums.transpose(2, 0, 1)
 
 
 def _table_rows(sums: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -605,22 +608,13 @@ def _table_rows(sums: np.ndarray, index: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _row_bounds(abs_w: np.ndarray, groupings: np.ndarray, p: int) -> np.ndarray:
+def _row_bounds(sums: np.ndarray) -> np.ndarray:
     """bound[g] = sum_j max_k sums[g, k, j], added as a table entry is.
 
     cumsum adds column by column; from 0.0, as an entry starts, the first
-    addition is exact. The bounds are built over blocks of ceil(G / cols)
-    of the G groupings, so a block's group sums hold about p * G entries.
+    addition is exact.
     """
-    bound = np.empty(len(groupings))
-    step = -(-len(groupings) // abs_w.shape[1])
-    for lo in range(0, len(groupings), step):
-        sums = _group_sums(abs_w, groupings[lo:lo + step], p)
-        peak = sums[:, 0]
-        for k in range(1, p):  # faster than max(axis=1) on a short axis
-            peak = np.maximum(peak, sums[:, k])
-        bound[lo:lo + step] = np.cumsum(peak, axis=1)[:, -1]
-    return bound
+    return np.cumsum(sums.max(axis=1), axis=1)[:, -1]
 
 
 def brute_force_partition(
@@ -677,7 +671,9 @@ def brute_force_partition(
     groupings = _row_groupings(rows, p)
     splits, index = _column_splits(cols, p)
 
-    bound = _row_bounds(abs_w, groupings, p)
+    # Kept for the table rows: p * cols floats per grouping of rows labels.
+    sums = _group_sums(abs_w, groupings, p)
+    bound = _row_bounds(sums)
     # Rows by descending bound, ties to the lowest index; desc[:n] are
     # the n largest bounds, negated, and n = searchsorted(...) counts the
     # bounds at or above best - margin.
@@ -691,7 +687,7 @@ def brute_force_partition(
         if stop <= done:
             break
         g = order[done:stop]
-        table = _table_rows(_group_sums(abs_w, groupings[g], p), index)
+        table = _table_rows(sums[g], index)
         best = max(best, float(table.max()))
         built.append((g, table))
         done = stop

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from blockprune import partitioner
 from blockprune.core import (
     PartitionAssignment,
     WeightMatrix,
@@ -243,10 +248,11 @@ class TestRefineSwaps:
         assert refine_swaps(w, base) is base
 
     def test_25_passes_at_256_within_a_second(self):
-        # About 10 ms when a pass scores only the pairs that can win, and
-        # 35 ms scoring every cross-partition pair in array blocks; a
-        # Python loop over every node pair takes 1.3-1.9 s on the same
-        # machine.
+        # About 3 ms on a 2-vCPU Xeon, where the best swap has a closed
+        # form and a swap moves two gain columns; 5 ms with a gain GEMM
+        # after each swap and a scan of the pairs near the best, 35 ms
+        # scoring every cross-partition pair in array blocks, and 1.3-1.9
+        # s with a Python loop over every node pair.
         w = uniform_matrix(256, 256, seed=5)
         base = greedy_partition(w, 4, seed=5)
         start = time.perf_counter()
@@ -258,8 +264,10 @@ class TestRefineSwaps:
         assert elapsed < 1.0, f"25 refine passes at 256x256 took {elapsed:.2f} s"
 
     def test_20_passes_at_2048_within_0_7_seconds(self):
-        # About 0.2 s on a 2-vCPU Xeon, most of it the gain GEMM of each
-        # pass; scoring every cross-partition pair took about 1.1 s.
+        # About 0.05 s on a 2-vCPU Xeon, most of it the integer copy of
+        # |W|, the first two gain products and the result's loss. A gain
+        # GEMM after each swap took 0.1-0.2 s, and scoring every
+        # cross-partition pair about 1.1 s.
         w = uniform_matrix(2048, 2048, seed=5)
         base = greedy_partition(w, 4, seed=5)
         start = time.perf_counter()
@@ -295,6 +303,38 @@ class TestRefineSwaps:
         elapsed = time.perf_counter() - start
         assert refined.weight_loss == base.weight_loss
         assert elapsed < 1.0, f"refine on exact ties took {elapsed:.2f} s"
+
+
+def test_refine_does_not_depend_on_blas_kernel(tmp_path):
+    # Layers of few distinct decimals have many exactly tied swaps. A
+    # float GEMM rounds their gains apart differently under each OpenBLAS
+    # kernel, enough to pick another swap; on the grid every gain is
+    # exact. A BLAS that ignores OPENBLAS_CORETYPE passes trivially.
+    rng = np.random.default_rng(0)
+    tenths = rng.choice(["0.1", "0.2", "0.3"], (200, 120))
+    thousandths = [f"{v:.3f}" for v in rng.integers(-3, 4, 160 * 96) / 1000]
+    layers = {"tenths": tenths, "thousandths": np.reshape(thousandths, (160, 96))}
+    kernels = ["Prescott", "Haswell"]
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists() and "avx512f" in cpuinfo.read_text(errors="ignore").split():
+        kernels.append("SkylakeX")
+    src = str(Path(partitioner.__file__).parents[1])
+    for name, values in layers.items():
+        layer = tmp_path / f"{name}.csv"
+        layer.write_text("".join(",".join(row) + "\n" for row in values))
+        outs = []
+        for kernel in kernels:
+            out = tmp_path / f"{name}-{kernel}.json"
+            env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1",
+                       PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from blockprune.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "prune", str(layer), "-p", "3", "--seed", "0", "--refine",
+                 "--out", str(out), "--quiet"],
+                env=env, check=True)
+            outs.append(out.read_bytes())
+        assert all(out == outs[0] for out in outs), (name, kernels)
 
 
 class TestOracle:

@@ -29,18 +29,23 @@ oracle in `partitioner` builds only the rows its bound cannot rule out,
 and must give a bit-equal optimum, the same witness and the same
 candidate count. `reference_labeled_splits` is the recursion that once
 enumerated the splits, one array copy per split; `_labeled_splits` must
-give the same array, bit for bit.
+give the same array, bit for bit. `reference_group_sums` is the indexed
+add (`np.add.at`) that once added each row into its group; `_group_sums`
+must give the same sums, bit for bit, for any labelling of the rows.
 
 `reference_refine_swaps` is the earlier refinement: a Python loop over
-every pair of rows and every pair of columns on each pass, kept as it
-was but for one rule both share, that a gain within rounding of zero is
-no gain. `refine_swaps` must apply the same swap sequence.
+every pair of rows and every pair of columns on each pass, with every
+gain summed again by a matrix product, kept as it was but for the grid
+both share: gains are sums of `reference_grid`'s integers, exact, so
+no gain is rounding. `refine_swaps` must apply the same swap sequence.
+`reference_grid` scales |W| in one step where `_grid` takes two, and
+must give the same grid, bit for bit.
 
 `reference_best_swap` is the swap scan that scored every cross-partition
-pair, one array block per ordered partition pair. `_best_swap` scores
-only the pairs its separable bound admits, and must return the same
-(gain, i, j) on gains of any kind, and make the same swaps inside
-`refine_swaps`.
+pair, one array block per ordered partition pair. `_best_swap` finds the
+best swap in closed form from the best single moves, and must return
+the same (gain, i, j) on integer gains below 2**51, ties included, and
+make the same swaps inside `refine_swaps`.
 """
 
 import math
@@ -61,6 +66,7 @@ from blockprune.core import (
     mask_of,
     partition_capacities,
     result_from_assignment,
+    validate_assignment,
     weight_loss,
 )
 from blockprune.partitioner import (
@@ -71,6 +77,7 @@ from blockprune.partitioner import (
     _best_swap,
     _column_splits,
     _construct,
+    _grid,
     _group_sums,
     _labeled_splits,
     _row_bounds,
@@ -263,6 +270,20 @@ def reference_multi_restart(weights, p, restarts, seed):
     return replace(best, seed=seed, restarts=restarts)
 
 
+def reference_grid(data: np.ndarray) -> np.ndarray:
+    """|data| times one power of two, rounded to integers.
+
+    With 2**(e - 1) <= max|data| < 2**e and s the largest row or column
+    sum of |data| / 2**e as numpy sums it, the power puts s in
+    [2**48, 2**49).
+    """
+    abs_w = np.abs(data)
+    e = math.frexp(abs_w.max())[1]
+    unit = np.ldexp(abs_w, -e)
+    line = max(unit.sum(axis=1).max(), unit.sum(axis=0).max())
+    return np.rint(np.ldexp(abs_w, 49 - math.frexp(line)[1] - e))
+
+
 def reference_refine_swaps(
     weights: WeightMatrix, result: PruneResult, max_passes: int = 100
 ) -> PruneResult:
@@ -271,14 +292,14 @@ def reference_refine_swaps(
     Each pass applies the single best loss-reducing swap of two rows or
     two columns that live in different partitions; swaps preserve group
     sizes, so feasibility is maintained. Stops when no swap improves or
-    after max_passes swaps. A gain no larger than 64 eps times the
-    largest finite gain of its side may be rounding alone, and is no
-    gain. The returned loss never exceeds the input's.
+    after max_passes swaps. Gains are summed on `reference_grid`'s
+    integers, so every gain is exact. The returned loss never exceeds
+    the input's.
     """
     p = result.assignment.p
     if p == 1 or max_passes < 1:
         return result
-    abs_w = np.abs(weights.data)
+    q = reference_grid(weights.data)
     row_of = result.assignment.row_of.copy()
     col_of = result.assignment.col_of.copy()
 
@@ -287,15 +308,10 @@ def reference_refine_swaps(
         m[np.arange(len(labels)), labels] = 1.0
         return m
 
-    def noise(gain):
-        finite = np.abs(gain[np.isfinite(gain)])
-        return 64 * np.finfo(float).eps * float(np.max(finite, initial=0.0))
-
     for _ in range(max_passes):
         # row_gain[i, k]: retained weight of row i if it lived in partition k.
-        row_gain = abs_w @ one_hot(col_of, p)
-        col_gain = abs_w.T @ one_hot(row_of, p)
-        row_noise, col_noise = noise(row_gain), noise(col_gain)
+        row_gain = q @ one_hot(col_of, p)
+        col_gain = q.T @ one_hot(row_of, p)
 
         best = (0.0, None)
         for i, j in combinations(range(len(row_of)), 2):
@@ -303,14 +319,14 @@ def reference_refine_swaps(
             if a == b:
                 continue
             g = row_gain[i, b] + row_gain[j, a] - row_gain[i, a] - row_gain[j, b]
-            if g > best[0] and g > row_noise:
+            if g > best[0]:
                 best = (g, ("row", i, j))
         for i, j in combinations(range(len(col_of)), 2):
             a, b = col_of[i], col_of[j]
             if a == b:
                 continue
             g = col_gain[i, b] + col_gain[j, a] - col_gain[i, a] - col_gain[j, b]
-            if g > best[0] and g > col_noise:
+            if g > best[0]:
                 best = (g, ("col", i, j))
 
         if best[1] is None:
@@ -323,7 +339,8 @@ def reference_refine_swaps(
     refined = result_from_assignment(
         weights, assignment, seed=result.seed, restarts=result.restarts
     )
-    # Guard against float drift in the gain bookkeeping: never get worse.
+    # The grid rounds each |w|, so a swap that gains on it may lose a
+    # little in the float sum: never get worse.
     return refined if refined.weight_loss <= result.weight_loss else result
 
 
@@ -695,7 +712,7 @@ def reference_trajectory(w, base, limit):
     out, cur = [], base
     while len(out) < limit:
         nxt = reference_refine_swaps(w, cur, max_passes=1)
-        assert nxt is not cur  # the float-drift guard never fired
+        assert nxt is not cur  # the never-worse guard never fired
         out.append(nxt)
         if ((nxt.assignment.row_of == cur.assignment.row_of).all()
                 and (nxt.assignment.col_of == cur.assignment.col_of).all()):
@@ -730,14 +747,54 @@ def test_refine_matches_pair_loop_reference(rows, cols, kind):
 
 
 def test_refine_overflowing_gains_never_win():
-    # Row sums of these magnitudes overflow to inf, so some gains are
-    # inf - inf = NaN; the pair loop's `>` never picks one.
-    w = WeightMatrix(corpus_matrix(12, 10, "ties").data * 8e307)
+    # Row sums of these magnitudes overflow a float. The grid scales
+    # every entry below 1 before it sums a line, so its gains stay finite
+    # and exact. The layer is integers times 8e307, not a power of two:
+    # the grid rounds each entry by at most half a unit, where one
+    # integer is about 2**44 units, so a swap that gains on the grid
+    # never loses on the integers.
+    ints = corpus_matrix(12, 10, "ties")
+    w = WeightMatrix(ints.data * 8e307)
     with np.errstate(over="ignore", invalid="ignore"):
         for p in (2, 3, 4):
-            base = result_from_assignment(w, balanced_start(12, 10, p, p),
-                                          seed=0, restarts=1)
+            start = balanced_start(12, 10, p, p)
+            base = result_from_assignment(w, start, seed=0, restarts=1)
+            refined = refine_swaps(w, base)
+            assert validate_assignment(refined.assignment, 12, 10).ok
+            assert refined.weight_loss <= base.weight_loss
+            assert (weight_loss(ints, mask_of(refined.assignment))
+                    < weight_loss(ints, mask_of(start)))
             assert_same_refinement(w, base, 50)
+
+
+GRID_LAYERS = {
+    "uniform": lambda: corpus_matrix(64, 40, "uniform").data,
+    "ties": lambda: corpus_matrix(17, 13, "ties").data,
+    "all_max": lambda: np.full((9, 7), -1.0),
+    "huge": lambda: corpus_matrix(12, 10, "ties").data * 8e307,
+    "largest": lambda: np.full((3, 5), np.finfo(float).max),
+    "subnormal": lambda: corpus_matrix(12, 10, "uniform").data * 1e-310,
+    "one_large": lambda: np.where(np.eye(30, 20) > 0, 1e300, 1e-300),
+    "wide": lambda: corpus_matrix(2, 3000, "gauss").data,
+    "zero": lambda: np.zeros((4, 6)),
+}
+
+
+@pytest.mark.parametrize("kind", GRID_LAYERS)
+def test_grid_line_sums_fill_the_headroom(kind):
+    data = GRID_LAYERS[kind]()
+    with np.errstate(over="ignore"):
+        q = _grid(data)
+    assert (q == reference_grid(data)).all()
+    assert (q == np.rint(q)).all() and (q >= 0).all()
+    # Exact integer line sums: at most 2**50, so every gain and swap sum
+    # of refinement is exact, and as fine as the headroom allows.
+    rows = [math.fsum(line) for line in q.tolist()]
+    cols = [math.fsum(line) for line in q.T.tolist()]
+    top = max(rows + cols)
+    n = max(q.shape)
+    assert top <= 2**50
+    assert top == 0.0 if kind == "zero" else 2**48 - n <= top <= 2**49 + n
 
 
 SWAP_KINDS = ["uniform", "integer_ties", "all_equal", "mixed_magnitudes",
@@ -745,56 +802,55 @@ SWAP_KINDS = ["uniform", "integer_ties", "all_equal", "mixed_magnitudes",
 
 
 def swap_case(kind, n, p, seed):
-    """Seeded (gain, labels) for one _best_swap call."""
+    """Seeded (gain, labels) for one _best_swap call: integers below 2**51."""
     rng = np.random.default_rng([n, p, seed, SWAP_KINDS.index(kind)])
     labels = rng.integers(0, p, n)
     if kind == "uniform":
-        gain = rng.uniform(0.0, 10.0, (n, p))
+        gain = rng.integers(0, 2**50, (n, p))
     elif kind == "integer_ties":
-        gain = rng.integers(0, 4, (n, p)).astype(np.float64)
+        gain = rng.integers(0, 4, (n, p))
     elif kind == "all_equal":
-        gain = np.full((n, p), 3.0)
+        gain = np.full((n, p), 3)
     elif kind == "mixed_magnitudes":
-        # 1e15 next to 1: sums round at 1/8, far above the small gains.
-        gain = np.where(rng.random((n, p)) < 0.5, 1e15, 0.0)
-        gain += rng.integers(0, 3, (n, p)) + rng.uniform(0.0, 1.0, (n, p))
+        # 2**50 next to 0-2: a swap sum spans the whole range.
+        gain = np.where(rng.random((n, p)) < 0.5, 2**50, 0) + rng.integers(0, 3, (n, p))
     elif kind == "tiny":
-        # Subnormal gains: the margin itself rounds.
-        gain = rng.uniform(0.0, 1e-310, (n, p))
+        # One unit, the grid's step, decides every swap.
+        gain = rng.integers(0, 2, (n, p))
     elif kind == "ulp_apart":
-        x = 0.7 if seed % 2 else 1e3
-        gain = x + rng.integers(-2, 3, (n, p)) * np.spacing(x)
+        # The largest gains: a swap's sums reach 2**52, where adjacent
+        # floats are one apart.
+        gain = 2**51 - 1 - rng.integers(0, 5, (n, p))
     elif kind == "non_finite":
-        gain = rng.uniform(0.0, 10.0, (n, p))
-        special = np.array([np.nan, np.inf, -np.inf])
-        hit = rng.random((n, p)) < 0.15
-        gain[hit] = special[rng.integers(0, 3, hit.sum())]
+        # Most partitions empty: most bounds are -inf, -inf + -inf too.
+        labels = rng.integers(0, 2, n) * (p - 1)
+        gain = rng.integers(0, 10, (n, p))
     else:  # one partition, not always the last, has no nodes
-        gain = rng.uniform(0.0, 10.0, (n, p))
+        gain = rng.integers(0, 2**20, (n, p))
         gone = int(rng.integers(0, p))
         labels = np.where(labels == gone, (gone + 1) % p, labels)
-    return gain, labels
+    return gain.astype(np.float64), labels
 
 
 @pytest.mark.parametrize("kind", SWAP_KINDS)
 def test_best_swap_matches_full_scan(kind):
     won = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for p in range(2, 9):
-            for n in (1, 2, 3, 9, 40):
-                for seed in range(6):
-                    gain, labels = swap_case(kind, n, p, seed)
-                    want = reference_best_swap(gain, labels, p)
-                    assert _best_swap(gain, labels, p) == want, (kind, n, p, seed)
-                    won += want[1] >= 0
+    for p in range(2, 9):
+        for n in (1, 2, 3, 9, 40):
+            for seed in range(6):
+                gain, labels = swap_case(kind, n, p, seed)
+                want = reference_best_swap(gain, labels, p)
+                assert _best_swap(gain, labels, p) == want, (kind, n, p, seed)
+                won += want[1] >= 0
     # Every kind but the all-equal gains makes swaps that gain.
     assert won > 0 or kind == "all_equal"
 
 
 def test_best_swap_keeps_a_winner_that_rounds_low():
-    # Found by a search over gains near 2**52, where every sum rounds. The
-    # winner's block bound and node limits fall short by 3.3 eps max|gain|:
-    # a margin of 3 eps drops it and returns a worse swap.
+    # Found by a search over float gains near 2**52, where every sum
+    # rounded and the winner's bound fell short of it. Scaled below 2**51
+    # every sum is exact: divided by 8, swap (4, 5) beats (0, 5) by one;
+    # divided by 16 the two tie and the lower pair wins.
     gain = np.array([[3377699720527886, 13510798882111500],
                      [7881299347898356, 13510798882111492],
                      [3377699720527887, 11],
@@ -802,9 +858,11 @@ def test_best_swap_keeps_a_winner_that_rounds_low():
                      [3377699720527876, 13510798882111498],
                      [9007199254740991, 26]], dtype=np.float64)
     labels = np.arange(6) % 2
-    want = reference_best_swap(gain, labels, 2)
-    assert want[1] >= 0
-    assert _best_swap(gain, labels, 2) == want
+    for div, pair in ((8, (4, 5)), (16, (0, 5))):
+        low = np.floor(gain / div)
+        want = reference_best_swap(low, labels, 2)
+        assert want[1:] == pair
+        assert _best_swap(low, labels, 2) == want
 
 
 @pytest.mark.parametrize("k", [1, 5, 20])
@@ -1010,22 +1068,58 @@ MAGNITUDES = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_row_bound_is_at_least_every_entry_of_its_row(data):
-    rows = data.draw(st.integers(1, 8))
-    cols = data.draw(st.integers(1, 6))
-    p = data.draw(st.integers(1, min(rows, cols)))
-    abs_w = np.array(data.draw(st.lists(MAGNITUDES, min_size=rows * cols,
-                                        max_size=rows * cols))).reshape(rows, cols)
-    # Any labelling of the rows, balanced or not, is bounded the same way.
-    groupings = np.array(data.draw(st.lists(
+@st.composite
+def labelled_rows(draw):
+    """(abs_w, groupings, p): magnitudes and any labellings of their rows."""
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.integers(1, 6))
+    p = draw(st.integers(1, min(rows, cols)))
+    abs_w = np.array(draw(st.lists(MAGNITUDES, min_size=rows * cols,
+                                   max_size=rows * cols))).reshape(rows, cols)
+    groupings = np.array(draw(st.lists(
         st.lists(st.integers(0, p - 1), min_size=rows, max_size=rows),
         min_size=1, max_size=2 * cols)))
-    _, index = _column_splits(cols, p)
-    bound = _row_bounds(abs_w, groupings, p)
-    table = _table_rows(_group_sums(abs_w, groupings, p), index)
+    return abs_w, groupings, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=labelled_rows())
+def test_row_bound_is_at_least_every_entry_of_its_row(case):
+    # Any labelling of the rows, balanced or not, is bounded the same way.
+    abs_w, groupings, p = case
+    _, index = _column_splits(abs_w.shape[1], p)
+    sums = _group_sums(abs_w, groupings, p)
+    table = _table_rows(sums, index)
+    bound = _row_bounds(sums)
     assert (table <= bound[:, None]).all()
+
+
+def reference_group_sums(abs_w, groupings, p):
+    """The group sums as one indexed add made them: row by row, from 0.0."""
+    sums = np.zeros((len(groupings), p, abs_w.shape[1]))
+    np.add.at(sums, (np.arange(len(groupings))[:, None], groupings), abs_w)
+    return sums
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=labelled_rows())
+def test_group_sums_match_indexed_add(case):
+    # Groups of any size, empty ones included, and sums that overflow.
+    abs_w, groupings, p = case
+    with np.errstate(over="ignore"):
+        got = _group_sums(abs_w, groupings, p)
+        want = reference_group_sums(abs_w, groupings, p)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows,cols,p", [(6, 6, 2), (8, 8, 3), (9, 4, 4), (16, 3, 2),
+                                         (12, 2, 5)])
+def test_group_sums_of_every_grouping_match_indexed_add(rows, cols, p):
+    groupings = _row_groupings(rows, p)
+    for kind in KINDS:
+        abs_w = np.abs(corpus_matrix(rows, cols, kind).data)
+        got = _group_sums(abs_w, groupings, p)
+        assert got.tobytes() == reference_group_sums(abs_w, groupings, p).tobytes()
 
 
 def test_oracle_builds_few_table_rows(monkeypatch):
