@@ -132,31 +132,34 @@ def cmd_oracle(args) -> int:
 def cmd_verify(args) -> int:
     weights = matio.read_matrix(args.input)
     assignment, _, _ = matio.read_assignment(args.result, weights)
-    # `decompose` checks balance; a refused assignment is checked again
-    # only to list every violation.
-    try:
-        decomp, violations = blockexec.decompose(weights, assignment), []
-    except ValueError:
-        violations = list(validate_assignment(
-            assignment, weights.rows, weights.cols).violations)
     payload = {
-        "valid": not violations,
-        "violations": violations,
+        "valid": True,
+        "violations": [],
         "trials": args.trials,
         "tolerance": args.tolerance,
         "max_rel_error": None,
         "passed": False,
     }
-    if violations:
+    limit = MAX_VERIFY_WORK // (weights.rows * weights.cols + VERIFY_TRIAL_COST)
+    # The blocks are cut only once every argument is accepted. Balance is
+    # checked once: by `decompose`, or, after a refusal, to list every
+    # violation, which outranks a refused argument.
+    try:
+        if not 0 < args.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {args.tolerance}")
+        check_int(args.trials, 1, limit, "trials must be >= 1",
+                  above=f"--trials is more than the limit of {limit} "
+                        f"for a {weights.rows}x{weights.cols} layer")
+        decomp = blockexec.decompose(weights, assignment)
+    except ValueError:
+        violations = list(validate_assignment(
+            assignment, weights.rows, weights.cols).violations)
+        if not violations:
+            raise
+        payload["valid"], payload["violations"] = False, violations
         _emit(args, payload, f"FAIL: infeasible assignment: {violations[0]}")
         return EXIT_INVALID
 
-    if not 0 < args.tolerance < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {args.tolerance}")
-    limit = MAX_VERIFY_WORK // (weights.rows * weights.cols + VERIFY_TRIAL_COST)
-    check_int(args.trials, 1, limit, "trials must be >= 1",
-              above=f"--trials is more than the limit of {limit} "
-                    f"for a {weights.rows}x{weights.cols} layer")
     mask = mask_of(assignment)
     rows = weights.rows
     floor = 1e-9 / args.tolerance  # absolute floor on the comparison scale

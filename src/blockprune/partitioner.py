@@ -366,33 +366,31 @@ def _grid(data: np.ndarray) -> np.ndarray:
     return np.rint(q, out=q)
 
 
-def _best_swap(gain: np.ndarray, labels: np.ndarray, p: int) -> tuple:
-    """(gain, i, j) of the best swap of two nodes on one side.
+def _best_swap(gain, labels, order, held, starts, sizes) -> tuple:
+    """(gain, i, j) of the best swap of two nodes of different partitions.
 
-    gain[i, k], an integer of magnitude below 2**51, is the retained
-    weight of node i if it lived in partition k. Swapping nodes i < j of
-    partitions a != b gains d[i, b] + d[j, a], exactly, with d[i, k] the
-    gain of moving node i alone to k. The best is the largest positive
-    gain, ties to the lowest (i, j); with none, (0.0, -1, -1).
+    gain[i, k], an integer below 2**51 in magnitude or -inf where node i
+    cannot go, is node i's retained weight if it lived in partition k.
+    Run r of `order`, sizes[r] nodes from starts[r] in any order, holds
+    partition held[r]; no other partition holds a node. Swapping nodes
+    i < j of partitions a != b gains d[i, b] + d[j, a], exactly, with
+    d[i, k] the gain of moving node i alone to k. The best is the largest
+    positive gain, ties to the lowest (i, j); with none, (0.0, -1, -1).
 
     The two terms are independent, so with m[a, b] the largest d[i, b]
     over the nodes of a, the best swap of a with b gains m[a, b] +
     m[b, a], and its lowest pair is the lowest node of a that reaches
     m[a, b] with the lowest node of b that reaches m[b, a].
     """
-    n = len(labels)
-    by_label = np.argsort(labels, kind="stable")  # each partition in index order
-    sizes = np.bincount(labels, minlength=p)
-    full = sizes > 0
-    starts = (np.cumsum(sizes) - sizes)[full]
-    d = (gain - gain[np.arange(n), labels][:, None])[by_label]
+    n, parts = gain.shape
+    d = (gain - gain[np.arange(n), labels][:, None])[order]
     top = np.maximum.reduceat(d, starts, axis=0)
-    # The first position in each partition that reaches its maximum.
-    pos = np.where(d == np.repeat(top, sizes[full], axis=0), np.arange(n)[:, None], n)
-    m = np.full((p, p), -np.inf)  # an empty partition bounds nothing
-    m[full] = top
-    node = np.zeros((p, p), dtype=np.int64)
-    node[full] = by_label[np.minimum.reduceat(pos, starts, axis=0)]
+    m = np.full((parts, parts), -np.inf)  # an empty partition bounds nothing
+    m[held] = top
+    # The lowest node of each partition that reaches its maximum.
+    node = np.zeros((parts, parts), dtype=np.int64)
+    node[held] = np.minimum.reduceat(np.where(
+        d == np.repeat(top, sizes, axis=0), order[:, None], n), starts, axis=0)
     bound = m + m.T
     np.fill_diagonal(bound, -np.inf)
     peak = float(bound.max())
@@ -403,19 +401,6 @@ def _best_swap(gain: np.ndarray, labels: np.ndarray, p: int) -> tuple:
     hi = np.maximum(node[a, b], node[b, a])
     k = int(np.argmin(lo * n + hi))
     return peak, int(lo[k]), int(hi[k])
-
-
-def _swap(labels: np.ndarray, i: int, j: int, gain: np.ndarray, lines: np.ndarray):
-    """Swap nodes i and j, and move the other side's gains with them.
-
-    With lines[i] node i's line of the grid, i's partition gains
-    lines[j] - lines[i] and j's loses as much.
-    """
-    a, b = labels[i], labels[j]
-    labels[i], labels[j] = b, a
-    moved = lines[j] - lines[i]
-    gain[:, a] += moved
-    gain[:, b] -= moved
 
 
 def refine_swaps(
@@ -435,31 +420,45 @@ def refine_swaps(
     real one on the grid, and no swap is undone. The gains of one side
     depend only on the other side's labels, so a swap moves two of the
     other side's gain columns by the difference of the two swapped lines
-    of the grid, and nothing else.
+    of the grid, and nothing else. One `_best_swap` call a pass scans
+    both sides, on a layout made once: a swap only trades two places.
     """
     max_passes = check_int(max_passes, 0, math.inf, "max_passes must be >= 0")
     p = result.assignment.p
     if p == 1 or max_passes == 0:
         return result
     q = _grid(weights.data)
-    row_of = result.assignment.row_of.copy()
-    col_of = result.assignment.col_of.copy()
-
-    # row_gain[i, k]: retained weight of row i if it lived in partition k.
-    row_gain = q @ (col_of[:, None] == np.arange(p)).astype(float)
-    col_gain = q.T @ (row_of[:, None] == np.arange(p)).astype(float)
+    rows = weights.rows
+    # Node i < rows is row i, gains in columns 0..p-1; node rows + j is
+    # column j, labelled col_of[j] + p, gains in p..2p-1; -inf elsewhere,
+    # so no swap pairs a row with a column. Rows win ties: lower nodes.
+    labels = np.concatenate([result.assignment.row_of, result.assignment.col_of + p])
+    gain = np.full((len(labels), 2 * p), -np.inf)
+    gain[:rows, :p] = q @ (labels[rows:, None] == np.arange(p, 2 * p)).astype(float)
+    gain[rows:, p:] = q.T @ (labels[:rows, None] == np.arange(p)).astype(float)
+    order = np.argsort(labels, kind="stable")  # the nodes partition by partition
+    sizes = np.bincount(labels, minlength=2 * p)
+    held = np.flatnonzero(sizes)
+    layout = (order, held, (np.cumsum(sizes) - sizes)[held], sizes[held])
+    place = np.argsort(order)  # node i is order[place[i]]
     for _ in range(max_passes):
-        row_top, i, j = _best_swap(row_gain, row_of, p)
-        col_top, ci, cj = _best_swap(col_gain, col_of, p)
-        if col_top > row_top:
-            _swap(col_of, ci, cj, row_gain, q.T)
-        elif row_top > 0.0:
-            _swap(row_of, i, j, col_gain, q)
-        else:
+        _, i, j = _best_swap(gain, labels, *layout)
+        if i < 0:
             break
+        order[place[i]], order[place[j]] = j, i
+        place[i], place[j] = place[j], place[i]
+        a, b = labels[i], labels[j]
+        labels[i], labels[j] = b, a
+        # i < j are two rows or two columns; `other` holds the other
+        # side's gains, partition a's in column a % p. Partition a gains
+        # line j - line i of the grid there, and b loses as much.
+        moved = q[j] - q[i] if j < rows else q.T[j - rows] - q.T[i - rows]
+        other = gain[rows:, p:] if j < rows else gain[:rows, :p]
+        other[:, a % p] += moved
+        other[:, b % p] -= moved
 
     del q  # free the grid before the result's gathers allocate theirs
-    assignment = PartitionAssignment(p=p, row_of=row_of, col_of=col_of)
+    assignment = PartitionAssignment(p=p, row_of=labels[:rows], col_of=labels[rows:] - p)
     refined = result_from_assignment(
         weights, assignment, seed=result.seed, restarts=result.restarts
     )
@@ -508,7 +507,7 @@ def _labeled_splits(n: int, caps: tuple, unordered: bool = False) -> np.ndarray:
 
     The splits are built one slot at a time, for all of them at once.
     The items of every slot but the last are kept in the smallest
-    integer type that holds n, and the labels are written at the end.
+    integer type that holds n, and the labels, in one that holds a slot.
     """
     dtype = np.min_scalar_type(n)
     free = np.arange(n, dtype=dtype)[None, :]  # each split's items left
@@ -527,7 +526,7 @@ def _labeled_splits(n: int, caps: tuple, unordered: bool = False) -> np.ndarray:
         groups = [g[s] for g in groups] + [np.take_along_axis(free[s], taken[k], axis=1)]
         low = first[s, k]
         free = np.take_along_axis(free[s], left[k], axis=1)
-    labels = np.full((len(free), n), len(caps) - 1, dtype=np.int64)
+    labels = np.full((len(free), n), len(caps) - 1, dtype=np.min_scalar_type(len(caps) - 1))
     rows = np.arange(len(free))
     for slot, items in enumerate(groups):
         for col in items.T:
@@ -552,14 +551,14 @@ def _column_splits(cols: int, p: int) -> tuple:
 
     The splits cover each order of the column capacities, the orders in
     descending lexicographic order and the splits of each in
-    `_labeled_splits` order. index[j, s] = splits[s, j] * cols + j is
-    the place of split s's column-j group sum in a grouping's (p, cols)
-    sums, flattened. Both arrays are cached and read-only.
+    `_labeled_splits` order. index[j, s] = splits[s, j] * cols + j, an
+    int64, is where split s reads its column-j group sum in a grouping's
+    (p, cols) sums, flattened. Both arrays are cached and read-only.
     """
     caps = partition_capacities(cols, p)
     seqs = sorted(set(permutations(caps)), reverse=True)
     splits = np.concatenate([_labeled_splits(cols, seq) for seq in seqs])
-    index = np.ascontiguousarray((splits * cols + np.arange(cols)).T)
+    index = np.ascontiguousarray((splits.astype(np.int64) * cols + np.arange(cols)).T)
     splits.flags.writeable = index.flags.writeable = False
     return splits, index
 
@@ -584,7 +583,7 @@ def _group_sums(abs_w: np.ndarray, groupings: np.ndarray, p: int) -> np.ndarray:
     """
     cols = abs_w.shape[1]
     sums = np.zeros((p, cols, len(groupings)))
-    groups = np.arange(p)[:, None, None]
+    groups = np.arange(p, dtype=groupings.dtype)[:, None, None]  # no cast per row
     step = max(1, _BLOCK_ELEMENTS // (p * cols))
     for lo in range(0, len(groupings), step):
         block = sums[:, :, lo:lo + step]

@@ -290,6 +290,39 @@ class TestVerify:
             assert f"limit of {limit} for a 6x8 layer" in captured.err
         assert time.perf_counter() - start < 1.0
 
+    def test_refused_arguments_cut_no_blocks(self, matrix_6x8, tmp_path, capsys,
+                                             monkeypatch):
+        # verify once cut the blocks before it checked its arguments, so a
+        # refused --trials on a large layer did that work for nothing.
+        res = tmp_path / "r.json"
+        run("prune", matrix_6x8, "-p", 2, "--out", res, "--quiet")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads(res.read_text()),
+                                   "row_partition": [0] * 5 + [1]}))
+
+        def refused(*args):
+            raise AssertionError("decompose called")
+
+        monkeypatch.setattr(cli.blockexec, "decompose", refused)
+        limit = cli.MAX_VERIFY_WORK // (6 * 8 + cli.VERIFY_TRIAL_COST)
+        for argv, line in (
+                (("--trials", limit + 1),
+                 f"--trials is more than the limit of {limit} for a 6x8 layer"),
+                (("--tolerance", "nan"), "tolerance must be positive and finite, got nan")):
+            capsys.readouterr()
+            assert run("verify", matrix_6x8, res, *argv) == 2
+            assert capsys.readouterr() == ("", f"error: {line}\n")
+            # An infeasible result outranks the refused argument.
+            report = tmp_path / "v.json"
+            assert run("verify", matrix_6x8, bad, *argv, "--out", report) == 2
+            violation = "row partition 0 holds 5 nodes, upper bound ceil(6/2)=3 exceeded"
+            assert capsys.readouterr() == (f"FAIL: infeasible assignment: {violation}\n", "")
+            d = json.loads(report.read_text(), parse_constant=float)
+            trials, tolerance = (limit + 1, "1e-05") if argv[0] == "--trials" else (100, "nan")
+            assert str(d.pop("tolerance")) == tolerance
+            assert d == {"valid": False, "violations": [violation], "trials": trials,
+                         "max_rel_error": None, "passed": False}
+
     def test_trial_cap_admits_the_benchmark_counts(self):
         # 100 trials at 2048 x 2048, and 4095 at the paper's 4096 x 4096.
         for n, trials in ((2048, 100), (4096, 4095)):

@@ -44,8 +44,10 @@ must give the same grid, bit for bit.
 `reference_best_swap` is the swap scan that scored every cross-partition
 pair, one array block per ordered partition pair. `_best_swap` finds the
 best swap in closed form from the best single moves, and must return
-the same (gain, i, j) on integer gains below 2**51, ties included, and
-make the same swaps inside `refine_swaps`.
+the same (gain, i, j) on integer gains below 2**51, ties included, on
+one side or on both sides joined as `refine_swaps` joins them, with its
+partitions' nodes listed in any order, and make the same swaps inside
+`refine_swaps`.
 """
 
 import math
@@ -832,6 +834,44 @@ def swap_case(kind, n, p, seed):
     return gain.astype(np.float64), labels
 
 
+def layout(labels, parts, rng=None):
+    """`_best_swap`'s (order, held, starts, sizes) of the labels.
+
+    `order` lists the nodes partition by partition; partition held[r],
+    one of those that hold a node, is its run of sizes[r] nodes from
+    starts[r]. Each run is in index order, or in a random order with
+    `rng`: swaps keep every partition's size, so after some swaps
+    refinement's layout has the same runs as a fresh one, each in
+    another order.
+    """
+    held = [k for k in range(parts) if (labels == k).any()]
+    runs = [np.flatnonzero(labels == k) for k in held]
+    if rng is not None:
+        runs = [rng.permutation(run) for run in runs]
+    sizes = np.array([len(run) for run in runs])
+    starts = np.cumsum(sizes) - sizes
+    return np.concatenate(runs), np.array(held), starts, sizes
+
+
+def two_sides(rows_case, cols_case):
+    """(gain, labels) of two one-side cases as `refine_swaps` joins them.
+
+    A row's gains fill columns 0..p-1 and a column's p..2p-1, with -inf
+    elsewhere, and the column labels are offset by p.
+    """
+    (row_gain, row_of), (col_gain, col_of) = rows_case, cols_case
+    p = row_gain.shape[1]
+    gain = np.full((len(row_of) + len(col_of), 2 * p), -np.inf)
+    gain[:len(row_of), :p] = row_gain
+    gain[len(row_of):, p:] = col_gain
+    return gain, np.concatenate([row_of, col_of + p])
+
+
+def best_swap(gain, labels, rng=None):
+    """`_best_swap` on a layout in index order, or in any order with `rng`."""
+    return _best_swap(gain, labels, *layout(labels, gain.shape[1], rng))
+
+
 @pytest.mark.parametrize("kind", SWAP_KINDS)
 def test_best_swap_matches_full_scan(kind):
     won = 0
@@ -840,8 +880,15 @@ def test_best_swap_matches_full_scan(kind):
             for seed in range(6):
                 gain, labels = swap_case(kind, n, p, seed)
                 want = reference_best_swap(gain, labels, p)
-                assert _best_swap(gain, labels, p) == want, (kind, n, p, seed)
+                rng = np.random.default_rng(seed)
+                assert best_swap(gain, labels) == want, (kind, n, p, seed)
+                assert best_swap(gain, labels, rng) == want, (kind, n, p, seed)
                 won += want[1] >= 0
+                # Both sides in one scan, joined as refinement joins them:
+                # no swap pairs the two sides, and the first side wins ties.
+                both = two_sides((gain, labels), swap_case(kind, n + 1, p, seed))
+                want = reference_best_swap(*both, 2 * p)
+                assert best_swap(*both, rng) == want, (kind, n, p, seed)
     # Every kind but the all-equal gains makes swaps that gain.
     assert won > 0 or kind == "all_equal"
 
@@ -862,7 +909,12 @@ def test_best_swap_keeps_a_winner_that_rounds_low():
         low = np.floor(gain / div)
         want = reference_best_swap(low, labels, 2)
         assert want[1:] == pair
-        assert _best_swap(low, labels, 2) == want
+        assert best_swap(low, labels) == want
+
+
+def full_scan(gain, labels, *layout):
+    """`reference_best_swap` with `_best_swap`'s arguments."""
+    return reference_best_swap(gain, labels, gain.shape[1])
 
 
 @pytest.mark.parametrize("k", [1, 5, 20])
@@ -870,12 +922,35 @@ def test_k_passes_at_1024_match_the_full_scan(k, monkeypatch):
     w = corpus_matrix(1024, 1024, "uniform")
     base = greedy_partition(w, 4, seed=k)
     got = refine_swaps(w, base, max_passes=k)
-    monkeypatch.setattr(partitioner, "_best_swap", reference_best_swap)
+    monkeypatch.setattr(partitioner, "_best_swap", full_scan)
     want = refine_swaps(w, base, max_passes=k)
     assert want.weight_loss < base.weight_loss
     assert (got.assignment.row_of == want.assignment.row_of).all()
     assert (got.assignment.col_of == want.assignment.col_of).all()
     assert got.weight_loss == want.weight_loss
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_row_swap_wins_a_tie_with_a_column_swap(kind):
+    # A symmetric layer with row_of == col_of has the same gains on both
+    # sides, so the best row and column swaps gain exactly the same.
+    half = corpus_matrix(24, 24, kind).data
+    w = WeightMatrix(half + half.T)
+    for p in (2, 3, 5):
+        start = balanced_start(24, 24, p, p)
+        start = PartitionAssignment(p=p, row_of=start.row_of, col_of=start.row_of)
+        base = result_from_assignment(w, start, seed=0, restarts=1)
+        q = reference_grid(w.data)
+        hot = (start.row_of[:, None] == np.arange(p)).astype(float)
+        row_best = reference_best_swap(q @ hot, start.row_of, p)
+        col_best = reference_best_swap(q.T @ hot, start.col_of, p)
+        assert row_best == col_best and row_best[0] > 0.0, (kind, p)
+        got = refine_swaps(w, base, max_passes=1)
+        want = reference_refine_swaps(w, base, max_passes=1)
+        assert (got.assignment.col_of == start.col_of).all(), (kind, p)
+        assert (got.assignment.row_of != start.row_of).sum() == 2, (kind, p)
+        assert (got.assignment.row_of == want.assignment.row_of).all(), (kind, p)
+        assert (got.assignment.col_of == want.assignment.col_of).all(), (kind, p)
 
 
 ORACLE_SHAPES = [(rows, cols, p) for rows in range(1, 9) for cols in range(1, 9)
@@ -1032,11 +1107,29 @@ def test_labeled_splits_match_the_recursion():
             for unordered in (False, True):
                 got = _labeled_splits(n, caps, unordered)
                 want = reference_labeled_splits(n, caps, unordered)
-                assert got.dtype == want.dtype, (n, caps, unordered)
+                assert got.dtype == np.min_scalar_type(len(caps) - 1), (n, caps, unordered)
                 assert got.shape == want.shape, (n, caps, unordered)
                 assert (got == want).all(), (n, caps, unordered)
                 checked += 1
     assert checked > 500
+
+
+@pytest.mark.parametrize("rows,cols,p", [(1, 1, 1), (6, 6, 2), (8, 8, 3), (9, 4, 4),
+                                         (10, 5, 5), (7, 7, 7)])
+def test_cached_groupings_match_int64_labels(rows, cols, p):
+    # The oracle caches its labels in the smallest type that holds p - 1;
+    # they must be the int64 labels of the recursion, and the split index,
+    # whose entries reach p * cols - 1, must be int64 like them.
+    groupings = _row_groupings(rows, p)
+    want = reference_labeled_splits(rows, partition_capacities(rows, p), unordered=True)
+    assert groupings.dtype == np.uint8
+    assert groupings.shape == want.shape and (groupings == want).all()
+    splits, index = _column_splits(cols, p)
+    seqs = sorted(set(permutations(partition_capacities(cols, p))), reverse=True)
+    want = np.concatenate([reference_labeled_splits(cols, seq) for seq in seqs])
+    assert splits.shape == want.shape and (splits == want).all()
+    assert index.dtype == np.int64
+    assert (index == (want * cols + np.arange(cols)).T).all()
 
 
 @pytest.mark.parametrize("kind", KINDS + ["decimals", "ones", "zeros"])
